@@ -18,7 +18,6 @@
 
 #include "baselines/iterative_matcher.h"
 #include "bench_util.h"
-#include "core/astar_matcher.h"
 #include "core/heuristic_advanced_matcher.h"
 #include "core/pattern_set.h"
 #include "eval/runner.h"
@@ -44,8 +43,9 @@ void BoundAndExistenceAblation(const MatchingTask& task) {
                    "# nodes"});
   const struct {
     const char* name;
-    BoundKind bound;
-  } bounds[] = {{"simple", BoundKind::kSimple}, {"tight", BoundKind::kTight}};
+    MatchMethod method;
+  } bounds[] = {{"simple", MatchMethod::kPatternSimple},
+                {"tight", MatchMethod::kPatternTight}};
   const struct {
     const char* name;
     ExistenceCheckMode mode;
@@ -54,15 +54,15 @@ void BoundAndExistenceAblation(const MatchingTask& task) {
                {"linearization", ExistenceCheckMode::kLinearization}};
   for (const auto& bound : bounds) {
     for (const auto& mode : modes) {
-      AStarOptions options;
-      options.scorer.bound = bound.bound;
-      options.scorer.existence = mode.mode;
-      const AStarMatcher matcher(options);
+      MatcherSpec spec;
+      spec.method = bound.method;
+      spec.scorer.existence = mode.mode;
+      const std::unique_ptr<Matcher> matcher = bench::BareMatcher(spec);
       // A fresh context per cell so caches do not leak across variants.
       const DependencyGraph g1 = DependencyGraph::Build(task.log1);
       MatchingContext ctx(task.log1, task.log2,
                           BuildPatternSet(g1, task.complex_patterns));
-      Result<MatchResult> outcome = matcher.Match(ctx);
+      Result<MatchResult> outcome = matcher->Match(ctx);
       if (!outcome.ok()) {
         table.AddRow({bound.name, mode.name, "-", "-", "-", "-"});
         continue;
@@ -219,14 +219,15 @@ void BoundStressAblation() {
   TextTable table({"# events", "bound", "F", "time(ms)", "# mappings"});
   for (std::size_t n : {8, 9, 10}) {
     const MatchingTask task = MakeSubsetStressTask(n, 2000, 7);
-    for (const auto bound : {BoundKind::kSimple, BoundKind::kTight}) {
-      AStarOptions options;
-      options.scorer.bound = bound;
-      options.max_expansions = 20'000'000;
+    for (const MatchMethod method :
+         {MatchMethod::kPatternSimple, MatchMethod::kPatternTight}) {
+      MatcherSpec spec;
+      spec.method = method;
+      spec.max_expansions = 20'000'000;
       const RunRecord record =
-          RunMatcherOnTask(AStarMatcher(options), task);
+          RunMatcherOnTask(*bench::BareMatcher(spec), task);
       table.AddRow({std::to_string(n),
-                    bound == BoundKind::kTight ? "tight" : "simple",
+                    method == MatchMethod::kPatternTight ? "tight" : "simple",
                     record.completed ? TextTable::Num(record.f_measure)
                                      : "-",
                     record.completed

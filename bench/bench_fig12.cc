@@ -15,14 +15,7 @@
 
 #include <iostream>
 
-#include "baselines/entropy_matcher.h"
-#include "baselines/iterative_matcher.h"
-#include "baselines/vertex_edge_matcher.h"
-#include "baselines/vertex_matcher.h"
 #include "bench_util.h"
-#include "core/astar_matcher.h"
-#include "core/heuristic_advanced_matcher.h"
-#include "core/heuristic_simple_matcher.h"
 #include "eval/runner.h"
 #include "gen/synthetic_process.h"
 
@@ -30,20 +23,15 @@ int main() {
   using namespace hematch;
 
   constexpr std::uint64_t kSearchBudget = 400'000;
-  AStarOptions exact_options;
-  exact_options.max_expansions = kSearchBudget;
-  const AStarMatcher exact(exact_options);
-  const HeuristicSimpleMatcher heuristic_simple;
-  const HeuristicAdvancedMatcher heuristic_advanced;
-  const VertexMatcher vertex;
-  VertexEdgeOptions ve_options;
-  ve_options.max_expansions = kSearchBudget;
-  const VertexEdgeMatcher vertex_edge(ve_options);
-  const IterativeMatcher iterative;
-  const EntropyMatcher entropy;
-  const std::vector<const Matcher*> matchers = {
-      &exact,  &heuristic_simple, &heuristic_advanced, &vertex,
-      &vertex_edge, &iterative,   &entropy};
+  const bench::MethodMatchers methods = bench::MakeMethodMatchers(
+      {MatchMethod::kPatternTight, MatchMethod::kHeuristicSimple,
+       MatchMethod::kHeuristicAdvanced, MatchMethod::kVertex,
+       MatchMethod::kVertexEdge, MatchMethod::kIterative,
+       MatchMethod::kEntropy},
+      kSearchBudget);
+  const std::vector<const Matcher*>& matchers = methods.matchers;
+  const Matcher* const exact = matchers[0];
+  const Matcher* const vertex_edge = matchers[4];
 
   std::cout << "Fig. 12: larger synthetic data over # of events "
             << "(10,000 traces; search budget " << kSearchBudget
@@ -61,8 +49,8 @@ int main() {
     std::vector<std::string> t_row = f_row;
     std::vector<std::string> m_row = f_row;
     for (const Matcher* matcher : matchers) {
-      const bool skip = (matcher == &exact && !exact_alive) ||
-                        (matcher == &vertex_edge && !ve_alive);
+      const bool skip = (matcher == exact && !exact_alive) ||
+                        (matcher == vertex_edge && !ve_alive);
       if (skip) {
         f_row.push_back("-");
         t_row.push_back("-");
@@ -71,8 +59,8 @@ int main() {
       }
       const RunRecord record = RunMatcherOnTask(*matcher, task);
       if (!record.completed) {
-        if (matcher == &exact) exact_alive = false;
-        if (matcher == &vertex_edge) ve_alive = false;
+        if (matcher == exact) exact_alive = false;
+        if (matcher == vertex_edge) ve_alive = false;
         f_row.push_back("-");
         t_row.push_back("-");
         m_row.push_back("-");

@@ -9,26 +9,18 @@
 
 #include <iostream>
 
-#include "baselines/iterative_matcher.h"
-#include "baselines/vertex_edge_matcher.h"
-#include "baselines/vertex_matcher.h"
 #include "bench_util.h"
-#include "core/astar_matcher.h"
 #include "gen/bus_process.h"
 
 int main() {
   using namespace hematch;
   const MatchingTask full = MakeBusManufacturerTask({});
 
-  AStarOptions simple_options;
-  simple_options.scorer.bound = BoundKind::kSimple;
-  const AStarMatcher pattern_simple(simple_options);
-  const AStarMatcher pattern_tight;
-  const VertexMatcher vertex;
-  const VertexEdgeMatcher vertex_edge;
-  const IterativeMatcher iterative;
-  const std::vector<const Matcher*> matchers = {
-      &pattern_simple, &pattern_tight, &vertex, &vertex_edge, &iterative};
+  const bench::MethodMatchers methods = bench::MakeMethodMatchers(
+      {MatchMethod::kPatternSimple, MatchMethod::kPatternTight,
+       MatchMethod::kVertex, MatchMethod::kVertexEdge,
+       MatchMethod::kIterative});
+  const std::vector<const Matcher*>& matchers = methods.matchers;
 
   std::cout << "Fig. 7: exact approaches over # of events ("
             << full.log1.num_traces() << " traces)\n";

@@ -9,28 +9,19 @@
 
 #include <iostream>
 
-#include "baselines/iterative_matcher.h"
-#include "baselines/vertex_edge_matcher.h"
-#include "baselines/vertex_matcher.h"
 #include "bench_util.h"
-#include "core/astar_matcher.h"
-#include "core/heuristic_advanced_matcher.h"
-#include "core/heuristic_simple_matcher.h"
 #include "gen/bus_process.h"
 
 int main() {
   using namespace hematch;
   const MatchingTask full = MakeBusManufacturerTask({});
 
-  const AStarMatcher exact;  // Pattern-Tight, the cheaper exact variant.
-  const HeuristicSimpleMatcher heuristic_simple;
-  const HeuristicAdvancedMatcher heuristic_advanced;
-  const VertexMatcher vertex;
-  const VertexEdgeMatcher vertex_edge;
-  const IterativeMatcher iterative;
-  const std::vector<const Matcher*> matchers = {
-      &exact,  &heuristic_simple, &heuristic_advanced,
-      &vertex, &vertex_edge,      &iterative};
+  // Exact is Pattern-Tight, the cheaper exact variant.
+  const bench::MethodMatchers methods = bench::MakeMethodMatchers(
+      {MatchMethod::kPatternTight, MatchMethod::kHeuristicSimple,
+       MatchMethod::kHeuristicAdvanced, MatchMethod::kVertex,
+       MatchMethod::kVertexEdge, MatchMethod::kIterative});
+  const std::vector<const Matcher*>& matchers = methods.matchers;
 
   std::cout << "Fig. 9: heuristic approaches over # of events ("
             << full.log1.num_traces() << " traces)\n";

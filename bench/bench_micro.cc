@@ -9,9 +9,8 @@
 #include <memory>
 
 #include "assignment/hungarian.h"
+#include "bench_util.h"
 #include "common/rng.h"
-#include "core/astar_matcher.h"
-#include "core/bounding.h"
 #include "core/pattern_set.h"
 #include "exec/portfolio.h"
 #include "freq/bitmap_index.h"
@@ -220,12 +219,12 @@ void BM_AStarMatch(benchmark::State& state) {
     recorder = std::make_unique<obs::TraceRecorder>();
     telemetry.trace_recorder = recorder.get();
   }
-  const AStarMatcher matcher;
+  const std::unique_ptr<Matcher> matcher = bench::BareMatcher(MatcherSpec{});
   for (auto _ : state) {
     state.PauseTiming();
     MatchingContext context(task.log1, task.log2, patterns, telemetry);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(matcher.Match(context));
+    benchmark::DoNotOptimize(matcher->Match(context));
   }
 }
 BENCHMARK(BM_AStarMatch)
@@ -276,10 +275,8 @@ void BM_Portfolio(benchmark::State& state) {
     exec::PortfolioOptions options;
     options.budget.deadline_ms = 2'000.0;
     options.telemetry = false;
-    exec::PortfolioRunner runner(
-        exec::DefaultPortfolioStrategies(ScorerOptions{}, BoundKind::kTight,
-                                         50'000'000),
-        std::move(options));
+    exec::PortfolioRunner runner(MakeRaceCard(MatcherSpec{}),
+                                 std::move(options));
     benchmark::DoNotOptimize(runner.Run(task.log1, task.log2, patterns));
   }
 }

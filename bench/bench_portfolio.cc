@@ -16,8 +16,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/astar_matcher.h"
-#include "core/heuristic_advanced_matcher.h"
 #include "exec/portfolio.h"
 #include "gen/bus_process.h"
 
@@ -40,10 +38,8 @@ class PortfolioMatcher : public Matcher {
     // after the sweep; spans flow to HEMATCH_TRACE_OUT when set.
     options.telemetry = true;
     options.trace_recorder = bench::BenchTraceRecorder();
-    exec::PortfolioRunner runner(
-        exec::DefaultPortfolioStrategies(ScorerOptions{}, BoundKind::kTight,
-                                         50'000'000),
-        std::move(options));
+    exec::PortfolioRunner runner(MakeRaceCard(MatcherSpec{}),
+                                 std::move(options));
     HEMATCH_ASSIGN_OR_RETURN(
         exec::PortfolioOutcome outcome,
         runner.Run(context.log1(), context.log2(), context.patterns()));
@@ -67,11 +63,11 @@ int main() {
   using namespace hematch;
   const MatchingTask full = MakeBusManufacturerTask({});
 
-  const AStarMatcher pattern_tight;
-  const HeuristicAdvancedMatcher advanced;
+  const bench::MethodMatchers methods = bench::MakeMethodMatchers(
+      {MatchMethod::kPatternTight, MatchMethod::kHeuristicAdvanced});
   const PortfolioMatcher portfolio(/*deadline_ms=*/2'000.0);
-  const std::vector<const Matcher*> matchers = {&pattern_tight, &advanced,
-                                                &portfolio};
+  const std::vector<const Matcher*> matchers = {
+      methods.matchers[0], methods.matchers[1], &portfolio};
 
   std::cout << "Portfolio: hedged race vs its strategies ("
             << full.log1.num_traces() << " traces)\n";

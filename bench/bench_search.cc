@@ -35,7 +35,6 @@
 #include "core/astar_matcher.h"
 #include "core/matching_context.h"
 #include "core/pattern_set.h"
-#include "exec/parallel_astar.h"
 #include "gen/bus_process.h"
 #include "gen/matching_task.h"
 #include "gen/synthetic_process.h"
@@ -141,9 +140,9 @@ int main(int argc, char** argv) {
 
   // Baseline: the sequential exact matcher exactly as the seed repo
   // configures it (tight bound, no reductions).
-  AStarOptions seq_options;
+  MatcherSpec spec;
   const RunResult sequential =
-      RunMatcher("sequential", AStarMatcher(seq_options), task, patterns);
+      RunMatcher("sequential", *bench::BareMatcher(spec), task, patterns);
 
   // Ablation: same sequential search with this PR's reductions.
   AStarOptions red_options;
@@ -154,10 +153,10 @@ int main(int argc, char** argv) {
       RunMatcher("reduced", AStarMatcher(red_options), task, patterns);
 
   // The headline: parallel HDA* with its defaults.
-  exec::ParallelAStarOptions par_options;
-  par_options.threads = threads;
-  const RunResult parallel = RunMatcher(
-      "parallel", exec::ParallelAStarMatcher(par_options), task, patterns);
+  spec.method = MatchMethod::kParallelAStar;
+  spec.search_threads = threads;
+  const RunResult parallel =
+      RunMatcher("parallel", *bench::BareMatcher(spec), task, patterns);
 
   bool objectives_match = true;
   for (const RunResult* r : {&sequential, &reduced, &parallel}) {

@@ -11,9 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "core/astar_matcher.h"
-#include "core/heuristic_advanced_matcher.h"
-#include "core/heuristic_simple_matcher.h"
+#include "bench_util.h"
 #include "eval/runner.h"
 #include "eval/table.h"
 #include "gen/random_logs.h"
@@ -22,11 +20,10 @@ int main() {
   using namespace hematch;
   constexpr int kTests = 1000;
 
-  const AStarMatcher exact;
-  const HeuristicSimpleMatcher heuristic_simple;
-  const HeuristicAdvancedMatcher heuristic_advanced;
-  const std::vector<const Matcher*> matchers = {&exact, &heuristic_simple,
-                                                &heuristic_advanced};
+  const bench::MethodMatchers methods = bench::MakeMethodMatchers(
+      {MatchMethod::kPatternTight, MatchMethod::kHeuristicSimple,
+       MatchMethod::kHeuristicAdvanced});
+  const std::vector<const Matcher*>& matchers = methods.matchers;
 
   // counts[mapping string][method index]
   std::map<std::string, std::array<int, 3>> counts;

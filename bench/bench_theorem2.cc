@@ -16,7 +16,7 @@
 
 #include "assignment/hungarian.h"
 #include "common/rng.h"
-#include "core/astar_matcher.h"
+#include "bench_util.h"
 #include "core/heuristic_advanced_matcher.h"
 #include "core/pattern_set.h"
 #include "core/theta_score.h"
@@ -75,10 +75,10 @@ int main() {
     const Result<MatchResult> advanced =
         HeuristicAdvancedMatcher(options).Match(ctx);
 
-    AStarOptions exact_options;
-    exact_options.max_expansions = 300'000;
+    MatcherSpec exact_spec;
+    exact_spec.max_expansions = 300'000;
     const Result<MatchResult> exact =
-        AStarMatcher(exact_options).Match(ctx);
+        bench::BareMatcher(exact_spec)->Match(ctx);
 
     const bool agrees =
         advanced.ok() &&

@@ -12,13 +12,16 @@
 // entry per (x_value, method) run with the headline numbers and the
 // run's full telemetry snapshot (schema in docs/OBSERVABILITY.md).
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "api/matcher_factory.h"
 #include "core/matcher.h"
 #include "eval/runner.h"
 #include "eval/table.h"
@@ -185,6 +188,34 @@ struct FigureTables {
     std::cout << "wrote per-run metrics to " << path << "\n";
   }
 };
+
+/// `spec`'s matcher as the factory builds it, minus the fallback
+/// ladder: a harness times each method alone, under no run budget.
+inline std::unique_ptr<Matcher> BareMatcher(MatcherSpec spec) {
+  spec.degrade = false;
+  return MakeMatcher(spec, exec::RunBudget{}, /*cancel=*/nullptr);
+}
+
+/// One bare matcher per method, in order; `max_expansions` caps the
+/// exact and Vertex+Edge searches.
+struct MethodMatchers {
+  std::vector<std::unique_ptr<Matcher>> owned;
+  std::vector<const Matcher*> matchers;  ///< Views of `owned`.
+};
+
+inline MethodMatchers MakeMethodMatchers(
+    std::initializer_list<MatchMethod> methods,
+    std::uint64_t max_expansions = MatcherSpec{}.max_expansions) {
+  MethodMatchers out;
+  MatcherSpec spec;
+  spec.max_expansions = max_expansions;
+  for (MatchMethod method : methods) {
+    spec.method = method;
+    out.owned.push_back(BareMatcher(spec));
+    out.matchers.push_back(out.owned.back().get());
+  }
+  return out;
+}
 
 /// Header row: the x-axis label followed by method names.
 inline std::vector<std::string> MakeHeader(

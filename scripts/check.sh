@@ -532,4 +532,65 @@ assert run["elapsed_ms"] >= 0.0
 print(f"ok: noise drill survived ({len(noise)} noise counters recorded)")
 EOF
 
+# Interrupt drill (docs/ROBUSTNESS.md, "Signals"): SIGINT during the
+# default method's exact search on a search-heavy pair (14 events vs 14
+# renamed ones plus 14 decoys) must stop the whole fallback ladder — the
+# exact rung returns its anytime mapping as "cancelled", no heuristic
+# rung starts, and the CLI exits 130 well within 5 s.
+echo "== interrupt drill"
+python3 - "$tmp/sig_a.tr" "$tmp/sig_b.tr" <<'EOF'
+import random
+import sys
+
+rng = random.Random(7)
+events = [f"e{i}" for i in range(14)]
+log1, log2 = [], []
+for _ in range(400):
+    trace = rng.sample(events, rng.randint(3, 8))
+    log1.append(" ".join(trace))
+    log2.append(" ".join("t" + e[1:] for e in trace))
+for d in range(len(events)):
+    log2 += [f"decoy{d}"] * 50
+for path, log in zip(sys.argv[1:], (log1, log2)):
+    with open(path, "w") as f:
+        f.write("\n".join(log) + "\n")
+EOF
+"$BUILD_DIR/tools/hematch_cli" "$tmp/sig_a.tr" "$tmp/sig_b.tr" \
+  > "$tmp/sig.out" 2>&1 &
+SIG_PID=$!
+sleep 1
+kill -INT "$SIG_PID"
+for _ in $(seq 50); do
+  kill -0 "$SIG_PID" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$SIG_PID" 2>/dev/null; then
+  kill -KILL "$SIG_PID"
+  echo "hematch_cli still searching 5 s after SIGINT"
+  exit 1
+fi
+SIG_EXIT=0
+wait "$SIG_PID" || SIG_EXIT=$?
+[[ "$SIG_EXIT" -eq 130 ]] || { echo "interrupted CLI exit $SIG_EXIT, want 130"; exit 1; }
+grep -q "cancelled" "$tmp/sig.out" || { echo "no cancelled run reported"; exit 1; }
+echo "ok: SIGINT stopped the default ladder (exit 130, cancelled)"
+
+# Bad flag values: a malformed number is a usage error (exit 2 with
+# "bad value for --flag"), never an uncaught exception.
+echo "== bad flag values"
+expect_bad_value() {
+  local code=0
+  "$@" > /dev/null 2> "$tmp/bad_flag.err" || code=$?
+  if [[ "$code" -ne 2 ]] || ! grep -q "bad value for" "$tmp/bad_flag.err"; then
+    echo "'$*' exited $code: $(cat "$tmp/bad_flag.err")"
+    exit 1
+  fi
+}
+expect_bad_value "$BUILD_DIR/tools/hematch_cli" --search-threads abc \
+  data/dept_a.tr data/dept_b.csv
+expect_bad_value "$BUILD_DIR/tools/hematch_cli" --deadline-ms=fast \
+  data/dept_a.tr data/dept_b.csv
+expect_bad_value "$BUILD_DIR/tools/hematch_inspect" --top abc data/dept_a.tr
+echo "ok: malformed flag values rejected with exit 2"
+
 echo "all checks passed"

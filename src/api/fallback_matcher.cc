@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "api/matcher_factory.h"
 #include "common/check.h"
-#include "core/heuristic_advanced_matcher.h"
-#include "core/heuristic_simple_matcher.h"
 #include "core/matching_context.h"
 #include "obs/trace.h"
 
@@ -19,16 +18,7 @@ FallbackMatcher::FallbackMatcher(std::vector<std::unique_ptr<Matcher>> ladder,
 
 std::unique_ptr<FallbackMatcher> FallbackMatcher::ExactWithHeuristicFallbacks(
     const AStarOptions& astar, FallbackOptions options) {
-  std::vector<std::unique_ptr<Matcher>> ladder;
-  ladder.push_back(std::make_unique<AStarMatcher>(astar));
-  HeuristicAdvancedOptions advanced;
-  advanced.scorer = astar.scorer;
-  ladder.push_back(std::make_unique<HeuristicAdvancedMatcher>(advanced));
-  HeuristicSimpleOptions simple;
-  simple.scorer = astar.scorer;
-  ladder.push_back(std::make_unique<HeuristicSimpleMatcher>(simple));
-  return std::make_unique<FallbackMatcher>(std::move(ladder),
-                                           std::move(options));
+  return MakeExactLadder(astar, std::move(options));
 }
 
 std::string FallbackMatcher::name() const { return ladder_.front()->name(); }

@@ -42,7 +42,8 @@ class FallbackMatcher : public Matcher {
 
   /// The canonical ladder: exact A* with the given options, degrading
   /// to the advanced heuristic, then the simple heuristic (both reuse
-  /// the A* scorer configuration).
+  /// the A* scorer configuration). Built by `MakeExactLadder`
+  /// (api/matcher_factory.h), where every ladder is assembled.
   static std::unique_ptr<FallbackMatcher> ExactWithHeuristicFallbacks(
       const AStarOptions& astar, FallbackOptions options = {});
 

@@ -2,17 +2,9 @@
 
 #include <memory>
 
-#include "api/fallback_matcher.h"
-#include "baselines/entropy_matcher.h"
-#include "baselines/iterative_matcher.h"
-#include "baselines/vertex_edge_matcher.h"
-#include "baselines/vertex_matcher.h"
-#include "core/astar_matcher.h"
-#include "core/heuristic_advanced_matcher.h"
-#include "core/heuristic_simple_matcher.h"
+#include "api/matcher_factory.h"
 #include "core/matching_context.h"
 #include "core/pattern_set.h"
-#include "exec/parallel_astar.h"
 #include "exec/portfolio.h"
 #include "exec/watchdog.h"
 #include "gen/pattern_miner.h"
@@ -20,89 +12,6 @@
 #include "pattern/pattern_parser.h"
 
 namespace hematch {
-
-namespace {
-
-std::unique_ptr<Matcher> MakeExactMatcher(const MatchPipelineOptions& options,
-                                          BoundKind bound) {
-  AStarOptions astar;
-  astar.scorer = options.scorer;
-  astar.scorer.bound = bound;
-  astar.max_expansions = options.max_expansions;
-  if (!options.degrade) {
-    return std::make_unique<AStarMatcher>(astar);
-  }
-  FallbackOptions fallback;
-  fallback.budget = options.budget;
-  fallback.cancel = options.cancel;
-  return FallbackMatcher::ExactWithHeuristicFallbacks(astar, fallback);
-}
-
-// The parallel exact matcher, optionally wrapped in the same
-// heuristic fallback ladder the sequential exact methods get.
-std::unique_ptr<Matcher> MakeParallelMatcher(
-    const MatchPipelineOptions& options) {
-  exec::ParallelAStarOptions popts;
-  popts.scorer = options.scorer;
-  popts.scorer.bound = BoundKind::kBitmapTight;
-  popts.threads = options.search_threads;
-  popts.max_expansions = options.max_expansions;
-  auto parallel = std::make_unique<exec::ParallelAStarMatcher>(popts);
-  if (!options.degrade) {
-    return parallel;
-  }
-  std::vector<std::unique_ptr<Matcher>> ladder;
-  ladder.push_back(std::move(parallel));
-  HeuristicAdvancedOptions advanced;
-  advanced.scorer = options.scorer;
-  ladder.push_back(std::make_unique<HeuristicAdvancedMatcher>(advanced));
-  HeuristicSimpleOptions simple;
-  simple.scorer = options.scorer;
-  ladder.push_back(std::make_unique<HeuristicSimpleMatcher>(simple));
-  FallbackOptions fallback;
-  fallback.budget = options.budget;
-  fallback.cancel = options.cancel;
-  return std::make_unique<FallbackMatcher>(std::move(ladder), fallback);
-}
-
-std::unique_ptr<Matcher> MakeMatcher(const MatchPipelineOptions& options) {
-  switch (options.method) {
-    case MatchMethod::kPatternTight:
-      return MakeExactMatcher(options, BoundKind::kTight);
-    case MatchMethod::kPatternSimple:
-      return MakeExactMatcher(options, BoundKind::kSimple);
-    case MatchMethod::kParallelAStar:
-      return MakeParallelMatcher(options);
-    case MatchMethod::kHeuristicSimple: {
-      HeuristicSimpleOptions heuristic;
-      heuristic.scorer = options.scorer;
-      return std::make_unique<HeuristicSimpleMatcher>(heuristic);
-    }
-    case MatchMethod::kHeuristicAdvanced: {
-      HeuristicAdvancedOptions heuristic;
-      heuristic.scorer = options.scorer;
-      return std::make_unique<HeuristicAdvancedMatcher>(heuristic);
-    }
-    case MatchMethod::kVertex: {
-      VertexOptions vertex;
-      vertex.partial = options.scorer.partial;
-      return std::make_unique<VertexMatcher>(vertex);
-    }
-    case MatchMethod::kVertexEdge: {
-      VertexEdgeOptions ve;
-      ve.max_expansions = options.max_expansions;
-      ve.partial = options.scorer.partial;
-      return std::make_unique<VertexEdgeMatcher>(ve);
-    }
-    case MatchMethod::kIterative:
-      return std::make_unique<IterativeMatcher>();
-    case MatchMethod::kEntropy:
-      return std::make_unique<EntropyMatcher>();
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 Result<MatchPipelineOutcome> MatchLogs(const EventLog& log1,
                                        const EventLog& log2,
@@ -139,10 +48,13 @@ Result<MatchPipelineOutcome> MatchLogs(const EventLog& log1,
 
   const DependencyGraph g1 = DependencyGraph::Build(source);
 
-  const bool exact_method = options.method == MatchMethod::kPatternTight ||
-                            options.method == MatchMethod::kPatternSimple ||
-                            options.method == MatchMethod::kParallelAStar;
-  if (options.portfolio && exact_method) {
+  MatcherSpec spec;
+  spec.method = options.method;
+  spec.scorer = options.scorer;
+  spec.max_expansions = options.max_expansions;
+  spec.search_threads = options.search_threads;
+  spec.degrade = options.degrade;
+  if (options.portfolio && IsExactMethod(options.method)) {
     // Hedged mode: race the exact matcher and both heuristics on worker
     // threads instead of laddering them. The runner owns its own state
     // (log copies, contexts, registry) so abandoned stragglers are
@@ -155,19 +67,7 @@ Result<MatchPipelineOutcome> MatchLogs(const EventLog& log1,
     popts.trace_recorder = options.trace_recorder;
     popts.heartbeat_ms = options.heartbeat_ms;
     popts.heartbeat = options.heartbeat;
-    const BoundKind bound =
-        options.method == MatchMethod::kPatternSimple ? BoundKind::kSimple
-                                                      : BoundKind::kTight;
-    // For the parallel method the race card leads with the parallel
-    // matcher; the sequential exact entry stays as a hedge.
-    const int parallel_threads = options.method == MatchMethod::kParallelAStar
-                                     ? options.search_threads
-                                     : -1;
-    exec::PortfolioRunner runner(
-        exec::DefaultPortfolioStrategies(options.scorer, bound,
-                                         options.max_expansions,
-                                         parallel_threads),
-        popts);
+    exec::PortfolioRunner runner(MakeRaceCard(spec), popts);
     HEMATCH_ASSIGN_OR_RETURN(
         exec::PortfolioOutcome portfolio,
         runner.Run(source, target, BuildPatternSet(g1, complex)));
@@ -188,7 +88,8 @@ Result<MatchPipelineOutcome> MatchLogs(const EventLog& log1,
   telemetry.trace_recorder = recorder;
   MatchingContext context(source, target, BuildPatternSet(g1, complex),
                           telemetry);
-  std::unique_ptr<Matcher> matcher = MakeMatcher(options);
+  std::unique_ptr<Matcher> matcher =
+      MakeMatcher(spec, options.budget, options.cancel);
   if (matcher == nullptr) {
     return Status::InvalidArgument("unknown match method");
   }

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "api/matcher_factory.h"
 #include "common/result.h"
 #include "core/match_result.h"
 #include "core/mapping_scorer.h"
@@ -18,19 +19,6 @@
 #include "pattern/pattern.h"
 
 namespace hematch {
-
-/// Which matching algorithm the one-call facade runs.
-enum class MatchMethod : std::uint8_t {
-  kPatternTight,        ///< Exact A*, tight bound (default).
-  kPatternSimple,       ///< Exact A*, simple bound.
-  kParallelAStar,       ///< Parallel exact A* (HDA*), bitmap-tight bound.
-  kHeuristicSimple,     ///< Greedy expansion.
-  kHeuristicAdvanced,   ///< Algorithms 3 & 4.
-  kVertex,              ///< Kang & Naughton, vertex form.
-  kVertexEdge,          ///< Kang & Naughton, vertex+edge form.
-  kIterative,           ///< Nejati et al., similarity propagation.
-  kEntropy,             ///< Entropy-only features.
-};
 
 /// Options for `MatchLogs`.
 struct MatchPipelineOptions {

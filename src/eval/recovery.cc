@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "api/fallback_matcher.h"
+#include "api/matcher_factory.h"
 #include "common/check.h"
 #include "core/pattern_set.h"
 #include "graph/dependency_graph.h"
@@ -59,21 +59,18 @@ std::vector<NoiseSweepPoint> RunNoiseSweep(const MatchingTask& clean,
         CorruptTask(clean, point.spec, &point.report);
     point.num_targets = corrupted.log2.num_events();
 
-    AStarOptions astar;
-    astar.scorer.bound = options.bound;
-    astar.scorer.partial.unmapped_penalty = options.unmapped_penalty;
-    astar.max_expansions = options.max_expansions;
-    FallbackOptions fallback;
-    fallback.budget = options.budget;
-    const std::unique_ptr<FallbackMatcher> ladder =
-        FallbackMatcher::ExactWithHeuristicFallbacks(astar, fallback);
+    MatcherSpec spec;  // Pattern-Tight behind the heuristic ladder.
+    spec.scorer.partial.unmapped_penalty = options.unmapped_penalty;
+    spec.max_expansions = options.max_expansions;
+    const std::unique_ptr<Matcher> matcher =
+        MakeMatcher(spec, options.budget, /*cancel=*/nullptr);
 
     const DependencyGraph g1 = DependencyGraph::Build(corrupted.log1);
     MatchingContext context(
         corrupted.log1, corrupted.log2,
         BuildPatternSet(g1, corrupted.complex_patterns));
     RecordCorruptionMetrics(point.report, context.metrics());
-    point.record = RunMatcher(*ladder, context, &corrupted.ground_truth);
+    point.record = RunMatcher(*matcher, context, &corrupted.ground_truth);
     point.recovery =
         EvaluateRecovery(point.record.mapping, corrupted.ground_truth);
 

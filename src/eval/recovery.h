@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/bounding.h"
 #include "eval/metrics.h"
 #include "eval/runner.h"
 #include "eval/table.h"
@@ -53,8 +52,6 @@ struct NoiseSweepOptions {
   CorruptionSpec base;
   /// Partial-mapping penalty used by the matcher.
   double unmapped_penalty = 0.35;
-  /// Which Δ(p, U2) bound powers the exact stage.
-  BoundKind bound = BoundKind::kTight;
   /// Expansion cap of the exact stage.
   std::uint64_t max_expansions = 200'000;
   /// Per-point run budget for the exact→advanced→simple ladder.

@@ -4,62 +4,11 @@
 #include <exception>
 #include <memory>
 #include <utility>
-#include <vector>
 
-#include "api/fallback_matcher.h"
-#include "core/astar_matcher.h"
-#include "core/heuristic_advanced_matcher.h"
-#include "core/heuristic_simple_matcher.h"
-#include "exec/parallel_astar.h"
+#include "api/matcher_factory.h"
 #include "exec/watchdog.h"
 
 namespace hematch::serve {
-
-namespace {
-
-std::unique_ptr<FallbackMatcher> BuildLadder(const MatchRequestSpec& spec,
-                                             int shed_level,
-                                             const FallbackOptions& fopts) {
-  ScorerOptions scorer;
-  scorer.partial.unmapped_penalty = spec.partial_penalty;
-
-  const bool heuristic_only = shed_level >= 1 || spec.method == "heuristic";
-  if (!heuristic_only) {
-    if (spec.method == "parallel") {
-      // Multi-threaded exact rung; degrades through the same heuristic
-      // pair as the sequential exact ladder when its budget trips.
-      exec::ParallelAStarOptions popts;
-      popts.scorer = scorer;
-      popts.scorer.bound = BoundKind::kBitmapTight;
-      popts.threads = spec.search_threads;
-      std::vector<std::unique_ptr<Matcher>> ladder;
-      ladder.push_back(std::make_unique<exec::ParallelAStarMatcher>(popts));
-      HeuristicAdvancedOptions advanced;
-      advanced.scorer = scorer;
-      ladder.push_back(std::make_unique<HeuristicAdvancedMatcher>(advanced));
-      HeuristicSimpleOptions simple;
-      simple.scorer = scorer;
-      ladder.push_back(std::make_unique<HeuristicSimpleMatcher>(simple));
-      return std::make_unique<FallbackMatcher>(std::move(ladder), fopts);
-    }
-    AStarOptions astar;
-    astar.scorer = scorer;
-    return FallbackMatcher::ExactWithHeuristicFallbacks(astar, fopts);
-  }
-
-  std::vector<std::unique_ptr<Matcher>> ladder;
-  if (shed_level < 2) {
-    HeuristicAdvancedOptions advanced;
-    advanced.scorer = scorer;
-    ladder.push_back(std::make_unique<HeuristicAdvancedMatcher>(advanced));
-  }
-  HeuristicSimpleOptions simple;
-  simple.scorer = scorer;
-  ladder.push_back(std::make_unique<HeuristicSimpleMatcher>(simple));
-  return std::make_unique<FallbackMatcher>(std::move(ladder), fopts);
-}
-
-}  // namespace
 
 double EffectiveDeadlineMs(const MatchRequestSpec& spec,
                            const ServiceOptions& options) {
@@ -99,11 +48,17 @@ MatchOutcome ExecuteMatch(WarmContext& warm, bool swapped,
     ambient = std::make_unique<obs::AmbientTraceScope>(request_recorder);
   }
 
-  FallbackOptions fopts;
-  fopts.budget = budget;
-  fopts.cancel = &token;
-  std::unique_ptr<FallbackMatcher> ladder =
-      BuildLadder(spec, shed_level, fopts);
+  // Every wire method is the exact ladder: "parallel" swaps in the
+  // parallel exact rung, "heuristic" enters one rung down, and load
+  // shedding skips one or two more.
+  MatcherSpec matcher;
+  matcher.method = spec.method == "parallel" ? MatchMethod::kParallelAStar
+                                             : MatchMethod::kPatternTight;
+  matcher.scorer.partial.unmapped_penalty = spec.partial_penalty;
+  matcher.search_threads = spec.search_threads;
+  matcher.shed_level =
+      std::max(shed_level, spec.method == "heuristic" ? 1 : 0);
+  const std::unique_ptr<Matcher> ladder = MakeMatcher(matcher, budget, &token);
 
   // Backstop for non-polling stretches: past deadline + grace the token
   // trips, and the shared evaluators (holding the context's drain

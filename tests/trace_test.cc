@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/matcher_factory.h"
 #include "core/astar_matcher.h"
 #include "core/pattern_set.h"
 #include "exec/budget.h"
@@ -221,10 +222,7 @@ TEST(TracePortfolioTest, StrategySpansParentUnderOneRunRoot) {
   exec::PortfolioOptions options;
   options.trace_recorder = std::make_shared<TraceRecorder>();
   const std::shared_ptr<TraceRecorder> recorder = options.trace_recorder;
-  exec::PortfolioRunner runner(
-      exec::DefaultPortfolioStrategies(ScorerOptions{}, BoundKind::kTight,
-                                       50'000'000),
-      options);
+  exec::PortfolioRunner runner(MakeRaceCard(MatcherSpec{}), options);
   Result<exec::PortfolioOutcome> outcome = runner.Run(
       log1, log2, BuildPatternSet(DependencyGraph::Build(log1), {}));
   ASSERT_TRUE(outcome.ok()) << outcome.status();

@@ -76,6 +76,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -84,15 +85,8 @@
 #include <string>
 #include <vector>
 
-#include "api/fallback_matcher.h"
-#include "baselines/entropy_matcher.h"
-#include "baselines/iterative_matcher.h"
-#include "baselines/vertex_edge_matcher.h"
-#include "baselines/vertex_matcher.h"
+#include "api/matcher_factory.h"
 #include "common/strings.h"
-#include "core/astar_matcher.h"
-#include "core/heuristic_advanced_matcher.h"
-#include "core/heuristic_simple_matcher.h"
 #include "core/mapping_io.h"
 #include "core/one_to_n.h"
 #include "core/pattern_set.h"
@@ -100,7 +94,6 @@
 #include "eval/runner.h"
 #include "eval/table.h"
 #include "exec/budget.h"
-#include "exec/parallel_astar.h"
 #include "exec/portfolio.h"
 #include "gen/log_corruptor.h"
 #include "gen/pattern_miner.h"
@@ -137,14 +130,23 @@ void InstallInterruptHandlers() {
   std::signal(SIGTERM, HandleInterrupt);
 }
 
+/// "a | b | c", from the method-name table (plus `all`), three names
+/// to a line of the help text's value column.
+std::string MethodNameList() {
+  const std::size_t n = std::size(kMethodNames);
+  std::string list;
+  for (std::size_t i = 0; i < n; ++i) {
+    list += kMethodNames[i].name;
+    list += i % 3 == 2 && i + 1 < n ? " |\n                    " : " | ";
+  }
+  return list += kAllMethodsName;
+}
+
 void PrintUsageAndExit(int code) {
   std::cerr <<
       "usage: hematch_cli [options] <log1> <log2>\n"
-      "  --method NAME     pattern-tight | pattern-simple | "
-      "pattern-parallel |\n"
-      "                    heuristic-simple | heuristic-advanced | vertex |\n"
-      "                    vertex-edge | iterative | entropy | all\n"
-      "                    (default: pattern-tight)\n"
+      "  --method NAME     " << MethodNameList() << "\n"
+      "                    (default: " << kMethodNames[0].name << ")\n"
       "  --parallel-astar  shorthand for --method pattern-parallel\n"
       "  --search-threads N  workers for pattern-parallel (0 = hardware)\n"
       "  --pattern EXPR    add a complex pattern over log1, e.g. "
@@ -256,87 +258,6 @@ Result<EventLog> LoadLog(const std::string& path, bool xes_strict,
   return ReadTraceLogFile(path);
 }
 
-std::vector<std::unique_ptr<Matcher>> MakeMatchers(
-    const std::string& method, std::uint64_t budget,
-    const exec::RunBudget& run_budget, bool degrade,
-    const ScorerOptions& scorer, int search_threads) {
-  std::vector<std::unique_ptr<Matcher>> matchers;
-  AStarOptions tight;
-  tight.scorer = scorer;
-  tight.max_expansions = budget;
-  AStarOptions simple = tight;
-  simple.scorer.bound = BoundKind::kSimple;
-  HeuristicSimpleOptions hs;
-  hs.scorer = scorer;
-  HeuristicAdvancedOptions ha;
-  ha.scorer = scorer;
-  VertexOptions vx;
-  vx.partial = scorer.partial;
-  VertexEdgeOptions ve;
-  ve.partial = scorer.partial;
-  ve.max_expansions = budget;
-
-  // The exact methods degrade down the heuristic ladder when their
-  // budget trips (unless --no-degrade).
-  auto exact = [&](const AStarOptions& astar) -> std::unique_ptr<Matcher> {
-    if (!degrade) {
-      return std::make_unique<AStarMatcher>(astar);
-    }
-    FallbackOptions fallback;
-    fallback.budget = run_budget;
-    return FallbackMatcher::ExactWithHeuristicFallbacks(astar, fallback);
-  };
-
-  auto want = [&](const char* name) {
-    return method == "all" || method == name;
-  };
-  if (want("pattern-tight")) {
-    matchers.push_back(exact(tight));
-  }
-  if (want("pattern-simple")) {
-    matchers.push_back(exact(simple));
-  }
-  if (want("pattern-parallel")) {
-    exec::ParallelAStarOptions popts;
-    popts.scorer = scorer;
-    popts.scorer.bound = BoundKind::kBitmapTight;
-    popts.threads = search_threads;
-    popts.max_expansions = budget;
-    auto parallel = std::make_unique<exec::ParallelAStarMatcher>(popts);
-    if (!degrade) {
-      matchers.push_back(std::move(parallel));
-    } else {
-      std::vector<std::unique_ptr<Matcher>> ladder;
-      ladder.push_back(std::move(parallel));
-      ladder.push_back(std::make_unique<HeuristicAdvancedMatcher>(ha));
-      ladder.push_back(std::make_unique<HeuristicSimpleMatcher>(hs));
-      FallbackOptions fallback;
-      fallback.budget = run_budget;
-      matchers.push_back(
-          std::make_unique<FallbackMatcher>(std::move(ladder), fallback));
-    }
-  }
-  if (want("heuristic-simple")) {
-    matchers.push_back(std::make_unique<HeuristicSimpleMatcher>(hs));
-  }
-  if (want("heuristic-advanced")) {
-    matchers.push_back(std::make_unique<HeuristicAdvancedMatcher>(ha));
-  }
-  if (want("vertex")) {
-    matchers.push_back(std::make_unique<VertexMatcher>(vx));
-  }
-  if (want("vertex-edge")) {
-    matchers.push_back(std::make_unique<VertexEdgeMatcher>(ve));
-  }
-  if (want("iterative")) {
-    matchers.push_back(std::make_unique<IterativeMatcher>());
-  }
-  if (want("entropy")) {
-    matchers.push_back(std::make_unique<EntropyMatcher>());
-  }
-  return matchers;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -393,73 +314,98 @@ int main(int argc, char** argv) {
       }
       return args[++i];
     };
-    if (arg == "--help" || arg == "-h") {
-      PrintUsageAndExit(0);
-    } else if (arg == "--method") {
-      method = next("--method");
-    } else if (arg == "--pattern") {
-      pattern_texts.push_back(next("--pattern"));
-    } else if (arg == "--mine") {
-      mine = true;
-    } else if (arg == "--explain") {
-      explain = true;
-    } else if (arg == "--extend") {
-      extend = true;
-    } else if (arg == "--output") {
-      output_path = next("--output");
-    } else if (arg == "--metrics-out") {
-      metrics_path = next("--metrics-out");
-    } else if (arg == "--trace-out") {
-      trace_path = next("--trace-out");
-    } else if (arg == "--heartbeat-ms") {
-      heartbeat_ms = std::stod(next("--heartbeat-ms"));
-    } else if (arg == "--progress") {
-      progress = true;
-    } else if (arg == "--mine-support") {
-      mine_support = std::stod(next("--mine-support"));
-    } else if (arg == "--budget") {
-      budget = std::stoull(next("--budget"));
-    } else if (arg == "--deadline-ms") {
-      run_budget.deadline_ms = std::stod(next("--deadline-ms"));
-    } else if (arg == "--memory-mb") {
-      run_budget.max_memory_bytes = static_cast<std::size_t>(
-          std::stod(next("--memory-mb")) * 1024.0 * 1024.0);
-    } else if (arg == "--no-degrade") {
-      degrade = false;
-    } else if (arg == "--portfolio") {
-      portfolio = true;
-    } else if (arg == "--threads") {
-      threads = std::stoi(next("--threads"));
-    } else if (arg == "--parallel-astar") {
-      method = "pattern-parallel";
-    } else if (arg == "--search-threads") {
-      search_threads = std::stoi(next("--search-threads"));
-    } else if (arg == "--fail-degraded") {
-      fail_degraded = true;
-    } else if (arg == "--xes-strict") {
-      xes_strict = true;
-    } else if (arg == "--strict") {
-      strict_all = true;
-    } else if (arg == "--partial-penalty") {
-      partial_penalty = std::stod(next("--partial-penalty"));
-      if (!(partial_penalty >= 0.0)) {
-        std::cerr << "--partial-penalty must be >= 0\n";
-        return 2;
+    try {
+      if (arg == "--help" || arg == "-h") {
+        PrintUsageAndExit(0);
+      } else if (arg == "--method") {
+        method = next("--method");
+      } else if (arg == "--pattern") {
+        pattern_texts.push_back(next("--pattern"));
+      } else if (arg == "--mine") {
+        mine = true;
+      } else if (arg == "--explain") {
+        explain = true;
+      } else if (arg == "--extend") {
+        extend = true;
+      } else if (arg == "--output") {
+        output_path = next("--output");
+      } else if (arg == "--metrics-out") {
+        metrics_path = next("--metrics-out");
+      } else if (arg == "--trace-out") {
+        trace_path = next("--trace-out");
+      } else if (arg == "--heartbeat-ms") {
+        heartbeat_ms = std::stod(next("--heartbeat-ms"));
+      } else if (arg == "--progress") {
+        progress = true;
+      } else if (arg == "--mine-support") {
+        mine_support = std::stod(next("--mine-support"));
+      } else if (arg == "--budget") {
+        budget = std::stoull(next("--budget"));
+      } else if (arg == "--deadline-ms") {
+        run_budget.deadline_ms = std::stod(next("--deadline-ms"));
+      } else if (arg == "--memory-mb") {
+        run_budget.max_memory_bytes = static_cast<std::size_t>(
+            std::stod(next("--memory-mb")) * 1024.0 * 1024.0);
+      } else if (arg == "--no-degrade") {
+        degrade = false;
+      } else if (arg == "--portfolio") {
+        portfolio = true;
+      } else if (arg == "--threads") {
+        threads = std::stoi(next("--threads"));
+      } else if (arg == "--parallel-astar") {
+        method = "pattern-parallel";
+      } else if (arg == "--search-threads") {
+        search_threads = std::stoi(next("--search-threads"));
+      } else if (arg == "--fail-degraded") {
+        fail_degraded = true;
+      } else if (arg == "--xes-strict") {
+        xes_strict = true;
+      } else if (arg == "--strict") {
+        strict_all = true;
+      } else if (arg == "--partial-penalty") {
+        partial_penalty = std::stod(next("--partial-penalty"));
+        if (!(partial_penalty >= 0.0)) {
+          std::cerr << "--partial-penalty must be >= 0\n";
+          return 2;
+        }
+      } else if (arg == "--corrupt") {
+        corrupt_spec_text = next("--corrupt");
+      } else if (arg == "--seed") {
+        corrupt_seed = std::stoull(next("--seed"));
+      } else if (StartsWith(arg, "--")) {
+        std::cerr << "unknown option: " << arg << "\n";
+        PrintUsageAndExit(2);
+      } else {
+        positional.push_back(arg);
       }
-    } else if (arg == "--corrupt") {
-      corrupt_spec_text = next("--corrupt");
-    } else if (arg == "--seed") {
-      corrupt_seed = std::stoull(next("--seed"));
-    } else if (StartsWith(arg, "--")) {
-      std::cerr << "unknown option: " << arg << "\n";
-      PrintUsageAndExit(2);
-    } else {
-      positional.push_back(arg);
+    } catch (const std::exception&) {
+      std::cerr << "bad value for " << arg << "\n";
+      return 2;
     }
   }
   if (positional.size() != 2) {
     PrintUsageAndExit(2);
   }
+  const std::vector<MatchMethod> methods = MethodsNamed(method);
+  if (methods.empty()) {
+    std::cerr << "unknown --method '" << method << "'\n";
+    PrintUsageAndExit(2);
+  }
+  if (portfolio && (methods.size() != 1 || !IsExactMethod(methods[0]))) {
+    std::cerr << "--portfolio requires an exact --method:";
+    for (const MethodName& entry : kMethodNames) {
+      if (IsExactMethod(entry.method)) {
+        std::cerr << ' ' << entry.name;
+      }
+    }
+    std::cerr << " (got '" << method << "')\n";
+    return 2;
+  }
+  MatcherSpec spec;
+  spec.scorer.partial.unmapped_penalty = partial_penalty;
+  spec.max_expansions = budget;
+  spec.search_threads = search_threads;
+  spec.degrade = degrade;
 
   // --trace-out: one recorder for the whole invocation. Shared because
   // the portfolio path hands it to detached workers; the ambient scope
@@ -588,19 +534,7 @@ int main(int argc, char** argv) {
   std::vector<RunRecord> records;
 
   if (portfolio) {
-    if (method != "pattern-tight" && method != "pattern-simple" &&
-        method != "pattern-parallel") {
-      std::cerr << "--portfolio requires --method pattern-tight, "
-                   "pattern-simple, or pattern-parallel (got '"
-                << method << "')\n";
-      return 2;
-    }
-    ScorerOptions scorer;
-    scorer.partial.unmapped_penalty = partial_penalty;
-    const BoundKind bound = method == "pattern-simple" ? BoundKind::kSimple
-                                                       : BoundKind::kTight;
-    const int parallel_threads =
-        method == "pattern-parallel" ? search_threads : -1;
+    spec.method = methods[0];
     exec::PortfolioOptions popts;
     popts.budget = run_budget;
     popts.threads = threads;
@@ -610,10 +544,7 @@ int main(int argc, char** argv) {
       popts.heartbeat_ms = heartbeat_ms;
       popts.heartbeat = emit_heartbeat;
     }
-    exec::PortfolioRunner runner(
-        exec::DefaultPortfolioStrategies(scorer, bound, budget,
-                                         parallel_threads),
-        popts);
+    exec::PortfolioRunner runner(MakeRaceCard(spec), popts);
     Result<exec::PortfolioOutcome> raced =
         runner.Run(*log1, *log2, BuildPatternSet(g1, complex));
     if (!raced.ok()) {
@@ -662,14 +593,12 @@ int main(int argc, char** argv) {
                                           &log2->dictionary())});
     records.push_back(std::move(record));
   } else {
-    ScorerOptions scorer;
-    scorer.partial.unmapped_penalty = partial_penalty;
-    const auto matchers =
-        MakeMatchers(method, budget, run_budget, degrade, scorer,
-                     search_threads);
-    if (matchers.empty()) {
-      std::cerr << "unknown --method '" << method << "'\n";
-      PrintUsageAndExit(2);
+    std::vector<std::unique_ptr<Matcher>> matchers;
+    for (MatchMethod m : methods) {
+      spec.method = m;
+      // Ladders re-arm each rung with the interrupt token: SIGINT stops
+      // the exact search and starts no lower rung.
+      matchers.push_back(MakeMatcher(spec, run_budget, &g_interrupt));
     }
     records.reserve(matchers.size());
     // Heartbeat clock for the sequential path (the portfolio rides its

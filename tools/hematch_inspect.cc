@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -49,18 +50,23 @@ int main(int argc, char** argv) {
   std::string path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--mine") {
-      mine = true;
-    } else if (arg == "--mine-support" && i + 1 < argc) {
-      mine_support = std::stod(argv[++i]);
-    } else if (arg == "--top" && i + 1 < argc) {
-      top = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--help" || arg == "-h" || StartsWith(arg, "--")) {
-      std::cerr << "usage: hematch_inspect [--mine] [--mine-support F] "
-                   "[--top N] <log>\n";
-      return arg == "--help" || arg == "-h" ? 0 : 2;
-    } else {
-      path = arg;
+    try {
+      if (arg == "--mine") {
+        mine = true;
+      } else if (arg == "--mine-support" && i + 1 < argc) {
+        mine_support = std::stod(argv[++i]);
+      } else if (arg == "--top" && i + 1 < argc) {
+        top = static_cast<std::size_t>(std::stoul(argv[++i]));
+      } else if (arg == "--help" || arg == "-h" || StartsWith(arg, "--")) {
+        std::cerr << "usage: hematch_inspect [--mine] [--mine-support F] "
+                     "[--top N] <log>\n";
+        return arg == "--help" || arg == "-h" ? 0 : 2;
+      } else {
+        path = arg;
+      }
+    } catch (const std::exception&) {
+      std::cerr << "bad value for " << arg << "\n";
+      return 2;
     }
   }
   if (path.empty()) {
