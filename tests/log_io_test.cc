@@ -213,6 +213,13 @@ struct CorruptCase {
   std::size_t lenient_traces;  // Traces salvaged in lenient mode.
 };
 
+// Without this, gtest prints the struct's raw bytes, including the `file`
+// pointer, which moves with address-space randomisation; ctest folds that
+// text into the discovered test name, so the name changed on every build.
+void PrintTo(const CorruptCase& c, std::ostream* os) {
+  *os << c.file << " salvages " << c.lenient_traces;
+}
+
 class CorruptXesTest : public ::testing::TestWithParam<CorruptCase> {};
 
 TEST_P(CorruptXesTest, LenientSalvages) {
