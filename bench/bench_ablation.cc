@@ -57,7 +57,7 @@ void BoundAndExistenceAblation(const MatchingTask& task) {
       MatcherSpec spec;
       spec.method = bound.method;
       spec.scorer.existence = mode.mode;
-      const std::unique_ptr<Matcher> matcher = bench::BareMatcher(spec);
+      const std::unique_ptr<Matcher> matcher = MakePaperMatcher(spec);
       // A fresh context per cell so caches do not leak across variants.
       const DependencyGraph g1 = DependencyGraph::Build(task.log1);
       MatchingContext ctx(task.log1, task.log2,
@@ -225,7 +225,7 @@ void BoundStressAblation() {
       spec.method = method;
       spec.max_expansions = 20'000'000;
       const RunRecord record =
-          RunMatcherOnTask(*bench::BareMatcher(spec), task);
+          RunMatcherOnTask(*MakePaperMatcher(spec), task);
       table.AddRow({std::to_string(n),
                     method == MatchMethod::kPatternTight ? "tight" : "simple",
                     record.completed ? TextTable::Num(record.f_measure)

@@ -11,7 +11,7 @@ int main() {
   using namespace hematch;
   const MatchingTask full = MakeBusManufacturerTask({});
 
-  const bench::MethodMatchers methods = bench::MakeMethodMatchers(
+  const bench::MethodMatchers methods = bench::MakePaperMatchers(
       {MatchMethod::kPatternTight, MatchMethod::kHeuristicSimple,
        MatchMethod::kHeuristicAdvanced, MatchMethod::kVertex,
        MatchMethod::kVertexEdge, MatchMethod::kIterative});

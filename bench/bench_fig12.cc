@@ -23,7 +23,7 @@ int main() {
   using namespace hematch;
 
   constexpr std::uint64_t kSearchBudget = 400'000;
-  const bench::MethodMatchers methods = bench::MakeMethodMatchers(
+  const bench::MethodMatchers methods = bench::MakePaperMatchers(
       {MatchMethod::kPatternTight, MatchMethod::kHeuristicSimple,
        MatchMethod::kHeuristicAdvanced, MatchMethod::kVertex,
        MatchMethod::kVertexEdge, MatchMethod::kIterative,

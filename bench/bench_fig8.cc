@@ -15,7 +15,7 @@ int main() {
   using namespace hematch;
   const MatchingTask full = MakeBusManufacturerTask({});
 
-  const bench::MethodMatchers methods = bench::MakeMethodMatchers(
+  const bench::MethodMatchers methods = bench::MakePaperMatchers(
       {MatchMethod::kPatternSimple, MatchMethod::kPatternTight,
        MatchMethod::kVertex, MatchMethod::kVertexEdge,
        MatchMethod::kIterative});

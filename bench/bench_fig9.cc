@@ -17,7 +17,7 @@ int main() {
   const MatchingTask full = MakeBusManufacturerTask({});
 
   // Exact is Pattern-Tight, the cheaper exact variant.
-  const bench::MethodMatchers methods = bench::MakeMethodMatchers(
+  const bench::MethodMatchers methods = bench::MakePaperMatchers(
       {MatchMethod::kPatternTight, MatchMethod::kHeuristicSimple,
        MatchMethod::kHeuristicAdvanced, MatchMethod::kVertex,
        MatchMethod::kVertexEdge, MatchMethod::kIterative});

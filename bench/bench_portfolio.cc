@@ -63,11 +63,14 @@ int main() {
   using namespace hematch;
   const MatchingTask full = MakeBusManufacturerTask({});
 
-  const bench::MethodMatchers methods = bench::MakeMethodMatchers(
-      {MatchMethod::kPatternTight, MatchMethod::kHeuristicAdvanced});
+  // The strategies alone, configured as the race card runs them.
+  MatcherSpec spec;
+  const std::unique_ptr<Matcher> exact = bench::BareMatcher(spec);
+  spec.method = MatchMethod::kHeuristicAdvanced;
+  const std::unique_ptr<Matcher> advanced = bench::BareMatcher(spec);
   const PortfolioMatcher portfolio(/*deadline_ms=*/2'000.0);
-  const std::vector<const Matcher*> matchers = {
-      methods.matchers[0], methods.matchers[1], &portfolio};
+  const std::vector<const Matcher*> matchers = {exact.get(), advanced.get(),
+                                                &portfolio};
 
   std::cout << "Portfolio: hedged race vs its strategies ("
             << full.log1.num_traces() << " traces)\n";

@@ -1,18 +1,19 @@
-// Exact-search speedup harness (PR 9): the parallel HDA*-style matcher
-// with its default reductions (bitmap-tight Δ bounds, dominance
-// pruning, symmetry breaking) against the classic sequential
-// Pattern-Tight A*. The default instance is the Fig. 9/10
+// Exact-search speedup harness: the paper's Algorithm 1 against the
+// default exact search and the parallel HDA*-style matcher. The
+// default instance is the Fig. 9/10
 // bus-manufacturer workload with decoy vocabulary on the log2 side —
 // the regime where the exact method's branching explodes; passing
 // num_events > 11 switches to Fig. 12's repeated-structure synthetic.
 //
-// Three runs, fresh context each (cold search, warm log indices):
-//   sequential  — AStarMatcher, tight bound, no reductions (the seed
-//                 repo's exact configuration; the baseline).
-//   reduced     — AStarMatcher, bitmap-tight bound + both reductions:
-//                 attributes the algorithmic share of the speedup.
-//   parallel    — ParallelAStarMatcher at --threads workers (default
-//                 8): reductions plus HDA* parallelism.
+// Three runs, fresh context each (cold search, warm log indices), all
+// built by the matcher factory:
+//   sequential  — Pattern-Tight as the paper runs it (MakePaperMatcher:
+//                 tight bound, no reductions); the baseline.
+//   reduced     — Pattern-Tight as every caller gets it (MakeMatcher:
+//                 bitmap-tight bound + symmetry breaking): attributes
+//                 the algorithmic share of the speedup.
+//   parallel    — Pattern-Parallel at --threads workers (default 8):
+//                 bitmap-tight bound, both reductions, HDA* parallelism.
 // All three must certify the same optimum; the harness fails loudly on
 // an objective mismatch, so the speedup is at *identical* answers.
 //
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/astar_matcher.h"
 #include "core/matching_context.h"
 #include "core/pattern_set.h"
 #include "gen/bus_process.h"
@@ -138,19 +138,14 @@ int main(int argc, char** argv) {
             << " patterns (" << task.complex_patterns.size()
             << " complex)\n";
 
-  // Baseline: the sequential exact matcher exactly as the seed repo
-  // configures it (tight bound, no reductions).
+  // Baseline: Pattern-Tight as the paper runs it.
   MatcherSpec spec;
   const RunResult sequential =
-      RunMatcher("sequential", *bench::BareMatcher(spec), task, patterns);
+      RunMatcher("sequential", *MakePaperMatcher(spec), task, patterns);
 
-  // Ablation: same sequential search with this PR's reductions.
-  AStarOptions red_options;
-  red_options.scorer.bound = BoundKind::kBitmapTight;
-  red_options.reductions.dominance_pruning = true;
-  red_options.reductions.symmetry_breaking = true;
+  // Ablation: the same method as every caller gets it.
   const RunResult reduced =
-      RunMatcher("reduced", AStarMatcher(red_options), task, patterns);
+      RunMatcher("reduced", *bench::BareMatcher(spec), task, patterns);
 
   // The headline: parallel HDA* with its defaults.
   spec.method = MatchMethod::kParallelAStar;

@@ -20,7 +20,7 @@ int main() {
   using namespace hematch;
   constexpr int kTests = 1000;
 
-  const bench::MethodMatchers methods = bench::MakeMethodMatchers(
+  const bench::MethodMatchers methods = bench::MakePaperMatchers(
       {MatchMethod::kPatternTight, MatchMethod::kHeuristicSimple,
        MatchMethod::kHeuristicAdvanced});
   const std::vector<const Matcher*>& matchers = methods.matchers;

@@ -77,8 +77,7 @@ int main() {
 
     MatcherSpec exact_spec;
     exact_spec.max_expansions = 300'000;
-    const Result<MatchResult> exact =
-        bench::BareMatcher(exact_spec)->Match(ctx);
+    const Result<MatchResult> exact = MakePaperMatcher(exact_spec)->Match(ctx);
 
     const bool agrees =
         advanced.ok() &&

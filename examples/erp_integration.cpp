@@ -40,7 +40,7 @@ int main() {
                                           &task.log2.dictionary())
             << "\n\n";
 
-  const AStarMatcher pattern_tight;      // Exact, tight bound.
+  const AStarMatcher pattern_tight;      // Exact, bitmap-tight bound.
   const HeuristicSimpleMatcher simple;   // Greedy expansion.
   const HeuristicAdvancedMatcher advanced;  // Algorithms 3 & 4.
   const VertexMatcher vertex;

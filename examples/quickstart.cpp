@@ -52,8 +52,10 @@ int main() {
   MatchingContext context(log1, log2,
                           BuildPatternSet(g1, {pattern.value()}));
 
-  // --- 4. Run the exact matcher (A* with the tight bound). ---------------
-  AStarMatcher matcher;  // Defaults: tight bound, sound existence pruning.
+  // --- 4. Run the exact matcher (A*, Pattern-Tight). ---------------------
+  // Defaults: bitmap-tight bound, symmetry breaking, sound existence
+  // pruning; `PaperAStarOptions` gives the paper's unreduced Algorithm 1.
+  AStarMatcher matcher;
   Result<MatchResult> outcome = matcher.Match(context);
   if (!outcome.ok()) {
     std::cerr << "matching failed: " << outcome.status() << "\n";

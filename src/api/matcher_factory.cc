@@ -15,21 +15,34 @@ namespace hematch {
 
 namespace {
 
-/// The bound of a sequential exact rung.
+/// The Table 2 bound a sequential exact method is named after.
 BoundKind SequentialBound(MatchMethod method) {
   return method == MatchMethod::kPatternSimple ? BoundKind::kSimple
                                                : BoundKind::kTight;
 }
 
-/// One matcher for `method`, configured from `spec`.
-std::unique_ptr<Matcher> MakeRung(MatchMethod method,
-                                  const MatcherSpec& spec) {
+/// The Table 2 bound of an exact rung bounded by `exact` (bitmap-tight
+/// refines tight). The heuristic rungs below a sequential exact rung
+/// score with it.
+BoundKind Table2Bound(BoundKind exact) {
+  return exact == BoundKind::kSimple ? BoundKind::kSimple : BoundKind::kTight;
+}
+
+/// One matcher for `method`, configured from `spec`. With `paper`, the
+/// sequential exact methods run the paper's Algorithm 1
+/// (`PaperAStarOptions`) instead of the default configuration.
+std::unique_ptr<Matcher> MakeRung(MatchMethod method, const MatcherSpec& spec,
+                                  bool paper = false) {
   switch (method) {
     case MatchMethod::kPatternTight:
     case MatchMethod::kPatternSimple: {
-      AStarOptions astar;
-      astar.scorer = spec.scorer;
-      astar.scorer.bound = SequentialBound(method);
+      AStarOptions astar =
+          paper ? PaperAStarOptions(SequentialBound(method)) : AStarOptions{};
+      if (method == MatchMethod::kPatternSimple) {
+        astar.scorer.bound = BoundKind::kSimple;
+      }
+      astar.scorer.existence = spec.scorer.existence;
+      astar.scorer.partial = spec.scorer.partial;
       astar.max_expansions = spec.max_expansions;
       return std::make_unique<AStarMatcher>(astar);
     }
@@ -114,8 +127,9 @@ std::unique_ptr<Matcher> MakeMatcher(const MatcherSpec& spec,
   if (!IsExactMethod(spec.method) || !spec.degrade) {
     return MakeRung(spec.method, spec);
   }
-  // Below a sequential rung the heuristics share its bound, as in
-  // `MakeExactLadder`; below the parallel rung they keep the caller's.
+  // Below a sequential rung the heuristics score with its Table 2
+  // bound, as in `MakeExactLadder`; below the parallel rung they keep
+  // the caller's.
   ScorerOptions heuristic_scorer = spec.scorer;
   if (spec.method != MatchMethod::kParallelAStar) {
     heuristic_scorer.bound = SequentialBound(spec.method);
@@ -144,9 +158,15 @@ std::vector<exec::PortfolioStrategy> MakeRaceCard(const MatcherSpec& spec) {
   return strategies;
 }
 
+std::unique_ptr<Matcher> MakePaperMatcher(const MatcherSpec& spec) {
+  return MakeRung(spec.method, spec, /*paper=*/true);
+}
+
 std::unique_ptr<FallbackMatcher> MakeExactLadder(const AStarOptions& astar,
                                                  FallbackOptions fallback) {
-  return Ladder(std::make_unique<AStarMatcher>(astar), astar.scorer, 0,
+  ScorerOptions heuristic_scorer = astar.scorer;
+  heuristic_scorer.bound = Table2Bound(astar.scorer.bound);
+  return Ladder(std::make_unique<AStarMatcher>(astar), heuristic_scorer, 0,
                 std::move(fallback));
 }
 

@@ -30,7 +30,7 @@ namespace hematch {
 
 /// Which matching algorithm to build.
 enum class MatchMethod : std::uint8_t {
-  kPatternTight,        ///< Exact A*, tight bound (default).
+  kPatternTight,        ///< Exact A*, `AStarOptions` defaults (default).
   kPatternSimple,       ///< Exact A*, simple bound.
   kParallelAStar,       ///< Parallel exact A* (HDA*), bitmap-tight bound.
   kHeuristicSimple,     ///< Greedy expansion.
@@ -75,8 +75,10 @@ std::vector<MatchMethod> MethodsNamed(std::string_view name);
 struct MatcherSpec {
   MatchMethod method = MatchMethod::kPatternTight;
   /// Existence check and partial mappings for every rung. The exact
-  /// rung's bound comes from the method (Pattern-Parallel always uses
-  /// the bitmap-tight bound).
+  /// rung's bound and reductions come from the method: Pattern-Tight
+  /// runs the `AStarOptions` defaults (bitmap-tight bound, symmetry
+  /// breaking), Pattern-Simple the same with the simple bound, and
+  /// Pattern-Parallel the `ParallelAStarOptions` defaults.
   ScorerOptions scorer;
   /// Expansion cap of the exact rung and of Vertex+Edge's search.
   std::uint64_t max_expansions = 50'000'000;
@@ -109,8 +111,15 @@ std::unique_ptr<Matcher> MakeMatcher(const MatcherSpec& spec,
 /// behind it as a hedge. `degrade` and `shed_level` do not apply.
 std::vector<exec::PortfolioStrategy> MakeRaceCard(const MatcherSpec& spec);
 
+/// `spec`'s bare matcher (no ladder) as the paper runs it: Pattern-Tight
+/// and Pattern-Simple use `PaperAStarOptions`, every other method is
+/// built as `MakeMatcher` builds it bare. The figure, table and
+/// ablation benches use it to reproduce the paper's mapping counts.
+std::unique_ptr<Matcher> MakePaperMatcher(const MatcherSpec& spec);
+
 /// The ladder behind an explicitly configured A* rung; the heuristics
-/// share its scorer options. `FallbackMatcher::
+/// share its scorer options and score with its Table 2 bound, as in
+/// `MakeMatcher`. `FallbackMatcher::
 /// ExactWithHeuristicFallbacks` is this function.
 std::unique_ptr<FallbackMatcher> MakeExactLadder(const AStarOptions& astar,
                                                  FallbackOptions fallback);

@@ -26,8 +26,8 @@ Result<MatchResult> VertexEdgeMatcher::Match(MatchingContext& context) const {
       BuildPatternSet(context.graph1(), /*complex_patterns=*/{}, set_options),
       telemetry);
 
-  AStarOptions astar_options;
-  astar_options.scorer.bound = BoundKind::kTight;
+  // The baseline as its figures report it: Algorithm 1 unreduced.
+  AStarOptions astar_options = PaperAStarOptions(BoundKind::kTight);
   astar_options.scorer.partial = options_.partial;
   astar_options.max_expansions = options_.max_expansions;
   astar_options.name_override = name();

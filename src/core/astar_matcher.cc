@@ -43,6 +43,13 @@ struct NodeLess {
 
 }  // namespace
 
+AStarOptions PaperAStarOptions(BoundKind bound) {
+  AStarOptions options;
+  options.scorer.bound = bound;
+  options.reductions = SearchReductions{};
+  return options;
+}
+
 AStarMatcher::AStarMatcher(AStarOptions options)
     : options_(std::move(options)) {}
 
@@ -54,9 +61,8 @@ std::string AStarMatcher::name() const {
     case BoundKind::kSimple:
       return "Pattern-Simple";
     case BoundKind::kTight:
-      return "Pattern-Tight";
     case BoundKind::kBitmapTight:
-      return "Pattern-Bitmap";
+      return "Pattern-Tight";
   }
   return "Pattern-Tight";
 }
@@ -102,10 +108,8 @@ Result<MatchResult> AStarMatcher::Match(MatchingContext& context) const {
   const bool use_dominance = options_.reductions.dominance_pruning;
   const bool use_symmetry = options_.reductions.symmetry_breaking;
   DominanceTable dominance;
-  TargetSymmetry symmetry;
-  if (use_symmetry) {
-    symmetry = ComputeTargetSymmetry(context.log2());
-  }
+  const TargetSymmetry* symmetry =
+      use_symmetry ? &context.target_symmetry() : nullptr;
 
   MatchResult result;
   std::uint64_t sequence = 0;
@@ -276,7 +280,7 @@ Result<MatchResult> AStarMatcher::Match(MatchingContext& context) const {
       if (node.mapping.IsTargetUsed(target)) {
         continue;
       }
-      if (use_symmetry && symmetry.Skips(node.mapping, target)) {
+      if (use_symmetry && symmetry->Skips(node.mapping, target)) {
         // A smaller-id interchangeable target is still unused; the
         // canonical subtree assigns that one instead.
         telem.prune_symmetry->Increment();

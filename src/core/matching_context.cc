@@ -1,6 +1,15 @@
 #include "core/matching_context.h"
 
+#include <mutex>
+
+#include "core/search_common.h"
+
 namespace hematch {
+
+struct MatchingContext::LazySymmetry {
+  std::once_flag once;
+  TargetSymmetry value;
+};
 
 namespace {
 
@@ -28,7 +37,9 @@ MatchingContext::MatchingContext(const EventLog& log1, const EventLog& log2,
       pattern_index_(log1.num_events(), PatternEventSets(patterns_)),
       eval1_(std::make_shared<FrequencyEvaluator>(log1)),
       eval2_(std::make_shared<FrequencyEvaluator>(log2)),
-      cooc2_(std::make_shared<CooccurrenceIndex>(log2)),
+      cooc2_(std::make_shared<CooccurrenceIndex>(log2,
+                                                 *eval2_->bitmap_index())),
+      symmetry2_(std::make_shared<LazySymmetry>()),
       owned_metrics_(telemetry.shared_registry != nullptr
                          ? nullptr
                          : std::make_unique<obs::MetricsRegistry>(
@@ -100,6 +111,7 @@ MatchingContext::MatchingContext(const MatchingContext& base,
       eval1_(base.eval1_),
       eval2_(base.eval2_),
       cooc2_(base.cooc2_),
+      symmetry2_(base.symmetry2_),
       f1_(base.f1_),
       owned_metrics_(nullptr),
       metrics_(base.metrics_),
@@ -131,6 +143,15 @@ const CooccurrenceIndex& MatchingContext::cooccurrence2() {
     metrics_->GetGauge("freq2.cooc.build_ms")->Set(cooc2_->build_ms());
   }
   return *cooc2_;
+}
+
+const TargetSymmetry& MatchingContext::target_symmetry() {
+  LazySymmetry& lazy = *symmetry2_;
+  std::call_once(lazy.once, [&] {
+    lazy.value =
+        ComputeTargetSymmetry(*log2_, eval2_->trace_index(), graph2_);
+  });
+  return lazy.value;
 }
 
 double MatchingContext::PatternFrequency2(const Pattern& translated,

@@ -19,6 +19,8 @@
 
 namespace hematch {
 
+struct TargetSymmetry;  // core/search_common.h
+
 /// How a `MatchingContext` wires into the telemetry subsystem.
 struct ContextTelemetryOptions {
   /// When false the context creates a disabled registry: every metric
@@ -189,6 +191,13 @@ class MatchingContext {
   /// one-time build every access is a lock-free read.
   const CooccurrenceIndex& cooccurrence2();
 
+  /// Interchangeable target classes of log2 (`TargetSymmetry`, declared
+  /// in core/search_common.h), built on first call and shared with
+  /// sibling contexts like `cooccurrence2()` — the substrate of symmetry
+  /// breaking, so a fallback ladder, a portfolio race, parallel workers
+  /// and a server's warm context all pay for it once. Thread-safe.
+  const TargetSymmetry& target_symmetry();
+
   /// Cumulative Proposition-3 pruning hits (patterns whose frequency
   /// evaluation was skipped because they cannot occur in log2).
   std::uint64_t existence_prune_hits() const {
@@ -214,6 +223,9 @@ class MatchingContext {
   // Shared for the same reason as the evaluators: the lazily-built
   // matrix amortizes across racing strategies and parallel workers.
   std::shared_ptr<CooccurrenceIndex> cooc2_;
+  // Shared like `cooc2_`; built lazily by `target_symmetry()`.
+  struct LazySymmetry;
+  std::shared_ptr<LazySymmetry> symmetry2_;
   std::vector<double> f1_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;

@@ -1,6 +1,7 @@
 #include "core/search_common.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "freq/pattern_key.h"
@@ -94,101 +95,112 @@ std::uint64_t DominanceSignature(const SearchPlan& plan, std::size_t depth,
 
 namespace {
 
-// Hash of log2's trace multiset with labels `x` and `y` swapped
-// (x == y computes the identity hash). Multiset semantics: per-trace
-// hashes are sorted before folding, so trace order never matters.
-std::uint64_t TraceMultisetHash(const EventLog& log, EventId x, EventId y,
-                                std::vector<std::uint64_t>& scratch) {
-  scratch.clear();
-  scratch.reserve(log.num_traces());
-  for (const Trace& trace : log.traces()) {
-    std::uint64_t h = MixBits(0x74726163ull ^ trace.size());
-    for (EventId e : trace) {
-      EventId r = e;
-      if (e == x) {
-        r = y;
-      } else if (e == y) {
-        r = x;
-      }
-      h = MixBits(h ^ (static_cast<std::uint64_t>(r) + 0x9E3779B9ull));
+// Mixed hash of one trace with labels `x` and `y` swapped (x == y hashes
+// the trace as is). A trace multiset hashes to the wrapping sum of its
+// traces' hashes, so trace order never matters and one trace's term can
+// be replaced without touching the others.
+std::uint64_t SwappedTraceHash(const Trace& trace, EventId x, EventId y) {
+  std::uint64_t h = MixBits(0x74726163ull ^ trace.size());
+  for (EventId e : trace) {
+    EventId r = e;
+    if (e == x) {
+      r = y;
+    } else if (e == y) {
+      r = x;
     }
-    scratch.push_back(h);
+    h = MixBits(h ^ (static_cast<std::uint64_t>(r) + 0x9E3779B9ull));
   }
-  std::sort(scratch.begin(), scratch.end());
-  std::uint64_t acc = 0x6D756C746973ull;
-  for (std::uint64_t h : scratch) {
-    acc = MixBits(acc ^ h);
+  return MixBits(h);
+}
+
+// True when swapping labels `x` and `y` maps log2's trace multiset onto
+// itself. Only traces containing x or y change under the swap, so the
+// multiset hash is unchanged exactly when the swapped terms of those
+// traces sum to their original terms.
+bool SwapPreservesMultiset(const EventLog& log, const TraceIndex& index,
+                           EventId x, EventId y) {
+  const std::vector<std::uint32_t>& px = index.Postings(x);
+  const std::vector<std::uint32_t>& py = index.Postings(y);
+  std::uint64_t delta = 0;
+  auto rehash = [&](std::uint32_t id) {
+    const Trace& trace = log.traces()[id];
+    delta += SwappedTraceHash(trace, x, y) - SwappedTraceHash(trace, x, x);
+  };
+  // Union of the two sorted posting lists.
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < px.size() || j < py.size()) {
+    if (j == py.size() || (i < px.size() && px[i] < py[j])) {
+      rehash(px[i++]);
+    } else if (i == px.size() || py[j] < px[i]) {
+      rehash(py[j++]);
+    } else {
+      rehash(px[i]);
+      ++i;
+      ++j;
+    }
   }
-  return acc;
+  return delta == 0;
 }
 
 }  // namespace
 
-TargetSymmetry ComputeTargetSymmetry(const EventLog& log2) {
+TargetSymmetry ComputeTargetSymmetry(const EventLog& log2,
+                                     const TraceIndex& index2,
+                                     const DependencyGraph& graph2) {
   TargetSymmetry sym;
   const std::size_t n = log2.num_events();
-  sym.class_of.assign(n, 0);
 
-  // Positional fingerprint per event: the multiset over traces of
-  // (trace length, occurrence positions). Invariant under any swap
-  // automorphism, so equal fingerprints are a necessary condition for
-  // interchangeability — a cheap exact filter before verification.
-  std::vector<std::uint64_t> fp(n, 0);
-  std::vector<std::uint64_t> trace_pos_hash(n);
-  for (const Trace& trace : log2.traces()) {
-    std::fill(trace_pos_hash.begin(), trace_pos_hash.end(),
-              MixBits(0x706F73ull ^ trace.size()));
-    bool any = false;
-    std::vector<char> seen(n, 0);
-    for (std::size_t pos = 0; pos < trace.size(); ++pos) {
-      const EventId e = trace[pos];
-      if (e < n) {
-        trace_pos_hash[e] = MixBits(trace_pos_hash[e] ^ (pos + 1));
-        seen[e] = 1;
-        any = true;
-      }
+  // Dependency-graph profile per label: its vertex frequency and the
+  // multisets of its outgoing and incoming edge frequencies. A swap
+  // automorphism of the trace multiset is an automorphism of the graph
+  // too, so interchangeable labels have equal profiles: an exact filter
+  // that reads only the already-built graph, before any trace is
+  // touched.
+  auto weight = [](double frequency) {
+    return MixBits(std::bit_cast<std::uint64_t>(frequency));
+  };
+  std::vector<std::uint64_t> profile(n, 0);
+  for (EventId e = 0; e < n; ++e) {
+    std::uint64_t out = 0;
+    for (EventId z : graph2.OutNeighbors(e)) {
+      out += weight(graph2.EdgeFrequency(e, z));
     }
-    if (!any) {
-      continue;
+    std::uint64_t in = 0;
+    for (EventId z : graph2.InNeighbors(e)) {
+      in += weight(graph2.EdgeFrequency(z, e));
     }
-    for (EventId e = 0; e < n; ++e) {
-      if (seen[e] != 0) {
-        fp[e] += MixBits(trace_pos_hash[e]);  // Commutative across traces.
-      }
-    }
+    profile[e] = weight(graph2.VertexFrequency(e)) ^
+                 MixBits(out ^ 0x6F7574ull) ^ MixBits(in ^ 0x696Eull);
   }
 
-  // Group candidates by fingerprint, then verify each member against
-  // its group's representative with the full swapped-multiset hash.
+  // Group labels by profile, then verify each member against its
+  // group's representative under the swap.
   std::unordered_map<std::uint64_t, std::vector<EventId>> groups;
   for (EventId t = 0; t < n; ++t) {
-    groups[fp[t]].push_back(t);
+    groups[profile[t]].push_back(t);
   }
-  std::vector<std::uint64_t> scratch;
-  const std::uint64_t identity = TraceMultisetHash(log2, 0, 0, scratch);
-  std::vector<std::uint32_t> cls(n, 0);
-  std::uint32_t next_class = 0;
+  sym.class_of.assign(n, 0);
   std::vector<char> assigned(n, 0);
   for (EventId t = 0; t < n; ++t) {
     if (assigned[t] != 0) {
       continue;
     }
-    const std::uint32_t c = next_class++;
-    cls[t] = c;
+    const auto c = static_cast<std::uint32_t>(sym.members.size());
+    sym.class_of[t] = c;
     assigned[t] = 1;
     sym.members.push_back({t});
-    for (EventId u : groups[fp[t]]) {
+    for (EventId u : groups[profile[t]]) {
       if (u <= t || assigned[u] != 0) {
         continue;
       }
-      if (TraceMultisetHash(log2, t, u, scratch) == identity) {
-        cls[u] = c;
+      if (SwapPreservesMultiset(log2, index2, t, u)) {
+        sym.class_of[u] = c;
         assigned[u] = 1;
         sym.members[c].push_back(u);
       }
     }
   }
-  sym.class_of = std::move(cls);
   for (const std::vector<EventId>& m : sym.members) {
     if (m.size() > 1) {
       sym.interchangeable_targets += m.size();

@@ -33,6 +33,8 @@
 #include "core/mapping.h"
 #include "core/mapping_scorer.h"
 #include "core/matching_context.h"
+#include "freq/inverted_index.h"
+#include "graph/dependency_graph.h"
 #include "log/event_log.h"
 #include "obs/metrics.h"
 #include "obs/stopwatch.h"
@@ -41,9 +43,9 @@ namespace hematch {
 
 /// Toggles for the exactness-preserving search-space reductions shared
 /// by the sequential and parallel exact matchers (see the declarations
-/// below for why each one never changes the certified optimum). Off by
-/// default for the sequential matcher — the parallel matcher enables
-/// both in its own defaults.
+/// below for why each one never changes the certified optimum). Both
+/// off in a bare `SearchReductions{}`; each matcher's options struct
+/// states its own defaults.
 struct SearchReductions {
   /// Keep only the best-g representative per dominance signature.
   bool dominance_pruning = false;
@@ -171,13 +173,23 @@ struct TargetSymmetry {
   }
 };
 
-/// Computes the exact symmetry classes of `log2`: candidate classes are
-/// grouped by per-event structural fingerprints, then each candidate is
-/// verified against its class representative by rehashing the whole
-/// trace multiset under the label swap. Pairwise verification against
-/// one representative suffices — swap automorphisms conjugate:
-/// (t1 t2) = (r t1)(r t2)(r t1).
-TargetSymmetry ComputeTargetSymmetry(const EventLog& log2);
+/// Computes the exact symmetry classes of `log2`; `index2` and `graph2`
+/// are log2's trace index and dependency graph. Candidates are grouped
+/// by their dependency-graph profile (vertex frequency plus in- and
+/// out-edge frequencies), which every swap automorphism preserves, so
+/// no trace is read unless two labels tie. Each candidate is then
+/// verified against its class representative under the label swap. The
+/// trace-multiset hash is commutative (a sum of mixed per-trace hashes),
+/// so a swap (x, y) changes only the terms of traces containing x or y:
+/// verification re-hashes just those, read from `index2`'s postings.
+/// Pairwise verification against one representative suffices — swap
+/// automorphisms conjugate: (t1 t2) = (r t1)(r t2)(r t1).
+///
+/// Matchers read the result through `MatchingContext::target_symmetry`,
+/// which builds it once per context.
+TargetSymmetry ComputeTargetSymmetry(const EventLog& log2,
+                                     const TraceIndex& index2,
+                                     const DependencyGraph& graph2);
 
 /// The per-method search metrics both exact matchers register, so the
 /// sequential and parallel runs export the same telemetry shape under

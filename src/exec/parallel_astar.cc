@@ -103,7 +103,7 @@ struct Runtime {
   MatchingContext* context = nullptr;
   const ParallelAStarOptions* options = nullptr;
   SearchPlan plan;
-  TargetSymmetry symmetry;
+  const TargetSymmetry* symmetry = nullptr;  // Null without symmetry breaking.
   SearchTelemetry telem;
   obs::TraceRecorder* recorder = nullptr;
   obs::SpanId match_span_id = 0;
@@ -332,7 +332,7 @@ void WorkerLoop(Runtime& rt, int w) {
       if (node.mapping.IsTargetUsed(target)) {
         continue;
       }
-      if (use_symmetry && rt.symmetry.Skips(node.mapping, target)) {
+      if (use_symmetry && rt.symmetry->Skips(node.mapping, target)) {
         rt.telem.prune_symmetry->Increment();
         continue;
       }
@@ -435,7 +435,7 @@ Result<MatchResult> ParallelAStarMatcher::Match(
   rt.options = &options_;
   rt.plan = BuildSearchPlan(context);
   if (options_.reductions.symmetry_breaking) {
-    rt.symmetry = ComputeTargetSymmetry(context.log2());
+    rt.symmetry = &context.target_symmetry();
   }
   rt.telem = SearchTelemetry::Register(metrics, slug);
   rt.recorder = context.trace_recorder();
@@ -457,7 +457,9 @@ Result<MatchResult> ParallelAStarMatcher::Match(
   metrics.GetGauge("pastar.threads")
       ->Set(static_cast<double>(rt.num_workers));
   metrics.GetGauge("pastar.symmetry.interchangeable_targets")
-      ->Set(static_cast<double>(rt.symmetry.interchangeable_targets));
+      ->Set(rt.symmetry != nullptr
+                ? static_cast<double>(rt.symmetry->interchangeable_targets)
+                : 0.0);
 
   obs::ScopedSpan match_span(rt.recorder, "match." + slug, "exec");
   rt.match_span_id = match_span.id();

@@ -58,10 +58,10 @@
 
 namespace hematch::exec {
 
-/// Options for the parallel exact matcher. Defaults differ from the
-/// sequential `AStarOptions` deliberately: the bitmap-tight bound and
-/// both reductions are ON — this matcher exists to be fast, and each
-/// of the three is exactness-preserving.
+/// Options for the parallel exact matcher. Defaults: the bitmap-tight
+/// bound and both reductions, each exactness-preserving. Unlike the
+/// sequential default it keeps dominance pruning on: the worker-local
+/// dominance tables are part of the HDA* design above.
 struct ParallelAStarOptions {
   /// Bound kind and existence pruning. Defaults to the bitmap-tight
   /// bound (pairwise co-occurrence ceilings, see freq/cooccurrence.h).

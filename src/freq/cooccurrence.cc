@@ -5,8 +5,9 @@
 
 namespace hematch {
 
-CooccurrenceIndex::CooccurrenceIndex(const EventLog& log)
-    : log_(&log), num_events_(log.num_events()) {}
+CooccurrenceIndex::CooccurrenceIndex(const EventLog& log,
+                                     const BitmapTraceIndex& bitmap)
+    : log_(&log), bitmap_(&bitmap), num_events_(log.num_events()) {}
 
 void CooccurrenceIndex::EnsureBuilt() {
   std::call_once(build_once_, [this] {
@@ -15,7 +16,7 @@ void CooccurrenceIndex::EnsureBuilt() {
     matrix_.assign(n * n, 0.0);
     const std::size_t traces = log_->num_traces();
     if (traces > 0 && n > 0) {
-      const BitmapTraceIndex bitmap(*log_);
+      const BitmapTraceIndex& bitmap = *bitmap_;
       const double inv = 1.0 / static_cast<double>(traces);
       for (EventId a = 0; a < n; ++a) {
         const std::span<const std::uint64_t> row_a = bitmap.Row(a);

@@ -29,9 +29,10 @@ namespace hematch {
 /// one instance via `MatchingContext`.
 class CooccurrenceIndex {
  public:
-  /// Binds to `log`; nothing is computed until `EnsureBuilt`. The log
-  /// must outlive the index.
-  explicit CooccurrenceIndex(const EventLog& log);
+  /// Binds to `log` and its bitmap index `bitmap`, whose rows the build
+  /// reads; nothing is computed until `EnsureBuilt`. Both must outlive
+  /// the index.
+  CooccurrenceIndex(const EventLog& log, const BitmapTraceIndex& bitmap);
 
   /// Builds the matrix on first call (thread-safe, idempotent).
   /// Subsequent `At` / `MaxPairAmong` calls are lock-free reads.
@@ -60,6 +61,7 @@ class CooccurrenceIndex {
 
  private:
   const EventLog* log_;
+  const BitmapTraceIndex* bitmap_;
   std::size_t num_events_ = 0;
   std::vector<double> matrix_;  // Row-major num_events_^2, in [0, 1].
   std::once_flag build_once_;

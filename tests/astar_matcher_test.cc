@@ -72,6 +72,13 @@ TEST(AStarMatcherTest, NamesFollowBoundKind) {
   AStarOptions simple;
   simple.scorer.bound = BoundKind::kSimple;
   EXPECT_EQ(AStarMatcher(simple).name(), "Pattern-Simple");
+  EXPECT_EQ(AStarMatcher(PaperAStarOptions(BoundKind::kTight)).name(),
+            "Pattern-Tight");
+  EXPECT_EQ(AStarMatcher(PaperAStarOptions(BoundKind::kSimple)).name(),
+            "Pattern-Simple");
+  // The name follows the method, not the bound or the reductions.
+  EXPECT_EQ(AStarMatcher(PaperAStarOptions(BoundKind::kBitmapTight)).name(),
+            "Pattern-Tight");
   AStarOptions named;
   named.name_override = "Custom";
   EXPECT_EQ(AStarMatcher(named).name(), "Custom");
@@ -157,8 +164,9 @@ TEST(AStarMatcherTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a->nodes_visited, b->nodes_visited);
 }
 
-// Property: A* (both bounds, all existence modes) returns the brute-force
-// optimum objective; tight never processes more mappings than simple.
+// Property: A* (the paper's two bounds, the default configuration, all
+// existence modes) returns the brute-force optimum objective; in the
+// paper's configuration tight never processes more mappings than simple.
 class AStarOptimalityTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -171,19 +179,24 @@ TEST_P(AStarOptimalityTest, MatchesBruteForceOptimum) {
     auto ctx = RandomInstance(rng, n, n, log1, log2);
     const double reference = BruteForceOptimum(*ctx);
 
-    AStarOptions tight;
-    AStarOptions simple;
-    simple.scorer.bound = BoundKind::kSimple;
-    AStarOptions no_prune;
+    const AStarOptions tight = PaperAStarOptions(BoundKind::kTight);
+    const AStarOptions simple = PaperAStarOptions(BoundKind::kSimple);
+    AStarOptions no_prune = PaperAStarOptions(BoundKind::kTight);
     no_prune.scorer.existence = ExistenceCheckMode::kNone;
+    AStarOptions fast_no_prune;
+    fast_no_prune.scorer.existence = ExistenceCheckMode::kNone;
 
     const Result<MatchResult> rt = AStarMatcher(tight).Match(*ctx);
     const Result<MatchResult> rs = AStarMatcher(simple).Match(*ctx);
     const Result<MatchResult> rn = AStarMatcher(no_prune).Match(*ctx);
-    ASSERT_TRUE(rt.ok() && rs.ok() && rn.ok());
+    const Result<MatchResult> rf = AStarMatcher().Match(*ctx);
+    const Result<MatchResult> rfn = AStarMatcher(fast_no_prune).Match(*ctx);
+    ASSERT_TRUE(rt.ok() && rs.ok() && rn.ok() && rf.ok() && rfn.ok());
     EXPECT_NEAR(rt->objective, reference, 1e-9);
     EXPECT_NEAR(rs->objective, reference, 1e-9);
     EXPECT_NEAR(rn->objective, reference, 1e-9);
+    EXPECT_NEAR(rf->objective, reference, 1e-9);
+    EXPECT_NEAR(rfn->objective, reference, 1e-9);
     // The tight bound must prune at least as hard as the simple bound.
     EXPECT_LE(rt->mappings_processed, rs->mappings_processed);
   }

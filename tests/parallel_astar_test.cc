@@ -71,7 +71,7 @@ std::vector<Pattern> PatternsFor(const EventLog& log1) {
 double SequentialOptimum(const EventLog& log1, const EventLog& log2,
                          const std::vector<Pattern>& patterns) {
   MatchingContext context(log1, log2, patterns);
-  AStarMatcher matcher;
+  AStarMatcher matcher(PaperAStarOptions(BoundKind::kTight));
   Result<MatchResult> result = matcher.Match(context);
   EXPECT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->termination, TerminationReason::kCompleted);
@@ -190,7 +190,8 @@ TEST(ParallelAStarTest, InterchangeableTargetsDetectedAndOptimumKept) {
   log2.AddTraceByNames({"x", "y", "q"});
   log2.AddTraceByNames({"y", "x", "q"});
 
-  const TargetSymmetry symmetry = ComputeTargetSymmetry(log2);
+  const TargetSymmetry symmetry = ComputeTargetSymmetry(
+      log2, TraceIndex(log2), DependencyGraph::Build(log2));
   EXPECT_GE(symmetry.interchangeable_targets, 2u);
 
   const std::vector<Pattern> patterns = PatternsFor(log1);
@@ -212,7 +213,8 @@ TEST(ParallelAStarTest, AsymmetricLogHasNoInterchangeableTargets) {
   EventLog log2;
   log2.AddTraceByNames({"u", "v", "w"});
   log2.AddTraceByNames({"u", "w"});
-  const TargetSymmetry symmetry = ComputeTargetSymmetry(log2);
+  const TargetSymmetry symmetry = ComputeTargetSymmetry(
+      log2, TraceIndex(log2), DependencyGraph::Build(log2));
   EXPECT_EQ(symmetry.interchangeable_targets, 0u);
   EXPECT_FALSE(symmetry.any());
 }

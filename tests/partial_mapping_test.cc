@@ -6,7 +6,6 @@
 // dominance property, and the anytime lower/upper brackets under
 // partial mappings.
 
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "exec/budget.h"
 #include "graph/dependency_graph.h"
 #include "log/event_log.h"
+#include "partial_oracle.h"
 
 namespace hematch {
 namespace {
@@ -60,44 +60,6 @@ std::vector<Pattern> InstancePatterns(const EventLog& log1) {
   }
   complex.push_back(Pattern::AndOfEvents({0, 1}));
   return BuildPatternSet(g1, complex);
-}
-
-// Exhaustive reference: maximum partial-objective score over ALL
-// partial injective mappings (every source maps to an unused target or
-// to ⊥). ComputeG on a fully-decided mapping is exactly the partial
-// objective: dead patterns contribute 0 and each ⊥ costs the penalty.
-double BruteForcePartialOptimum(MatchingContext& ctx, double penalty) {
-  ScorerOptions options;
-  options.partial.unmapped_penalty = penalty;
-  MappingScorer scorer(ctx, options);
-  const std::size_t n1 = ctx.num_sources();
-  const std::size_t n2 = ctx.num_targets();
-  double best = -kInf;
-  Mapping m(n1, n2);
-  std::function<void(EventId)> extend = [&](EventId v) {
-    if (v == n1) {
-      const double score = scorer.ComputeG(m);
-      if (score > best) {
-        best = score;
-      }
-      return;
-    }
-    if (penalty < kInf) {
-      m.SetUnmapped(v);
-      extend(v + 1);
-      m.ClearUnmapped(v);
-    }
-    for (EventId t = 0; t < n2; ++t) {
-      if (m.IsTargetUsed(t)) {
-        continue;
-      }
-      m.Set(v, t);
-      extend(v + 1);
-      m.Erase(v);
-    }
-  };
-  extend(0);
-  return best;
 }
 
 TEST(MappingNullTest, NullApiBasics) {
