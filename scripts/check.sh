@@ -197,34 +197,43 @@ print(f"ok: parallel exact search {doc['speedup']:.1f}x over sequential "
 EOF
 fi
 
-# Default-path parity: perfbench's traced pass repeats MatchLogs' work
-# as separate public calls, its exact rung built from `AStarOptions{}`,
-# and reports `correct: false` unless every objective and mapping count
-# agrees with MatchLogs. A default that drifts from what the facade runs
-# therefore fails here rather than in a benchmark run. The build goes to
-# perfbench's own tree (.bench_build/ unless CARGO_TARGET_DIR is set).
-echo "== perfbench traced parity"
-if ! python3 perfbench/run.py --workload decoy_search --seed 1 --seconds 5 \
-    --trace 1 > "$tmp/perfbench.out" 2> "$tmp/perfbench.err"; then
-  tail -n 20 "$tmp/perfbench.err"
-  grep '^# ' "$tmp/perfbench.out" | tail -n 20
-  echo "perfbench traced pass failed"
-  exit 1
-fi
+# Default-path and ingest parity: perfbench's traced pass repeats
+# MatchLogs' work as separate public calls, its exact rung built from
+# `AStarOptions{}`, and reports `correct: false` unless every objective
+# and mapping count agrees with MatchLogs. A default that drifts from
+# what the facade runs therefore fails here rather than in a benchmark
+# run. The decoy_search pass is search-bound; the bus_batch pass reads
+# every instance as .tr text plus CSV or XES (some with drop/dup/swap
+# noise) and registers logs with a real server, so it drives all three
+# readers and the serve leg's register path end to end. The build goes
+# to perfbench's own tree (.bench_build/ unless CARGO_TARGET_DIR is set).
+for workload in decoy_search bus_batch; do
+  echo "== perfbench traced $workload"
+  out="$tmp/perfbench_$workload"
+  if ! python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 5 --trace 1 > "$out.out" 2> "$out.err"; then
+    tail -n 20 "$out.err"
+    grep '^# ' "$out.out" | tail -n 20
+    echo "perfbench traced $workload pass failed"
+    exit 1
+  fi
 
-python3 - "$tmp/perfbench.out" <<'EOF'
+  python3 - "$workload" "$out.out" <<'EOF'
 import json
 import sys
 
-with open(sys.argv[1]) as f:
+workload, path = sys.argv[1:]
+with open(path) as f:
     doc = json.loads(f.read().strip().splitlines()[-1])
 assert doc["correct"] is True, doc
 assert doc["failed"] == 0, doc
-metrics = doc["metrics"]
-print(f"ok: traced decoy_search pass correct over {doc['attempted']} "
-      f"instances, search {metrics['search.match_ms']['value']:.1f} ms, "
-      f"{metrics['search.mappings_processed']['value']:.0f} mappings per match")
+metrics = {k: v["value"] for k, v in doc["metrics"].items()}
+print(f"ok: traced {workload} pass correct over {doc['attempted']} "
+      f"instances, ingest {metrics['log.mb_per_s']:.0f} MB/s, "
+      f"search {metrics['search.match_ms']:.1f} ms, "
+      f"{metrics['search.mappings_processed']:.0f} mappings per match")
 EOF
+done
 
 # Noise-recovery gate: sweep corruption rates on the bus workload and
 # hold the recovery floor (docs/ROBUSTNESS.md, "Dirty logs and partial

@@ -5,7 +5,7 @@
 namespace hematch {
 
 EventId EventDictionary::Intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) {
     return it->second;
   }
@@ -16,7 +16,7 @@ EventId EventDictionary::Intern(std::string_view name) {
 }
 
 Result<EventId> EventDictionary::Lookup(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it == ids_.end()) {
     return Status::NotFound("unknown event name: " + std::string(name));
   }
@@ -24,7 +24,7 @@ Result<EventId> EventDictionary::Lookup(std::string_view name) const {
 }
 
 bool EventDictionary::Contains(std::string_view name) const {
-  return ids_.find(std::string(name)) != ids_.end();
+  return ids_.find(name) != ids_.end();
 }
 
 const std::string& EventDictionary::Name(EventId id) const {

@@ -2,6 +2,7 @@
 #define HEMATCH_LOG_EVENT_DICTIONARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -49,8 +50,16 @@ class EventDictionary {
   const std::vector<std::string>& names() const { return names_; }
 
  private:
+  // Transparent, so the string_view lookups above allocate nothing.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, EventId> ids_;
+  std::unordered_map<std::string, EventId, NameHash, std::equal_to<>> ids_;
 };
 
 }  // namespace hematch

@@ -23,9 +23,12 @@ namespace hematch {
 ///    by file order otherwise. This mirrors how logs come out of ERP/OA
 ///    systems, the paper's data source.
 ///
-/// Timestamps are parsed as ordered opaque strings (ISO-8601 sorts
-/// correctly as text) or integers; mixing the two within one case is
-/// rejected.
+/// Timestamps are ordered as integers when all digits and as opaque text
+/// otherwise (ISO-8601 sorts correctly as text); an empty or missing
+/// timestamp sorts first. The two kinds have no common order, so a case
+/// that mixes them fails a strict read with a ParseError naming the
+/// case, and a lenient read keeps that case in file order and counts
+/// its rows in CsvReadStats::salvaged_rows.
 
 /// Parses a trace-per-line log from `input`.
 Result<EventLog> ReadTraceLog(std::istream& input);
@@ -43,21 +46,24 @@ Status WriteTraceLog(const EventLog& log, std::ostream& output);
 /// endings are tolerated in both modes (they are valid encodings, not
 /// defects).
 struct CsvReadOptions {
-  /// Strict mode fails with ParseError on any defective row: too few
+  /// Strict mode fails with ParseError on any defective row (too few
   /// fields to reach the case/event columns, or an empty case or event
-  /// cell. Lenient mode (default) salvages instead — a ragged row that
-  /// still reaches both the case and event columns is kept (missing
-  /// timestamp treated as absent), any other defective row is skipped —
-  /// and counts every such row in CsvReadStats::salvaged_rows (surfaced
-  /// as the `log.csv_salvaged` telemetry counter and a `salvaged` span
-  /// arg).
+  /// cell) and on a case that mixes timestamp kinds. Lenient mode
+  /// (default) salvages instead — a ragged row that still reaches both
+  /// the case and event columns is kept (missing timestamp treated as
+  /// absent), any other defective row is skipped, a mixed case keeps
+  /// file order — and counts every such row in
+  /// CsvReadStats::salvaged_rows (surfaced as the `log.csv_salvaged`
+  /// telemetry counter and a `salvaged` span arg).
   bool strict = false;
 };
 
 /// What the lenient CSV reader had to forgive.
 struct CsvReadStats {
-  /// Defective data rows that were salvaged (kept without a timestamp)
-  /// or skipped instead of failing the parse. Always 0 in strict mode.
+  /// Defective data rows that were salvaged (kept without a timestamp,
+  /// or kept in file order in a case that mixes timestamp kinds) or
+  /// skipped instead of failing the parse; each row counts at most
+  /// once. Always 0 in strict mode.
   std::size_t salvaged_rows = 0;
 };
 

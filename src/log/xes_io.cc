@@ -4,10 +4,10 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 #include <vector>
 
+#include "log/text_input.h"
 #include "log/xml_parser.h"
 #include "obs/trace.h"
 
@@ -15,9 +15,11 @@ namespace hematch {
 
 namespace {
 
+// Views into the document or the parser's decoded text; both outlive
+// the XesReader::Read call that collects and consumes them.
 struct XesEvent {
-  std::string name;       // concept:name
-  std::string timestamp;  // time:timestamp (optional)
+  std::string_view name;       // concept:name
+  std::string_view timestamp;  // time:timestamp (optional)
 };
 
 std::string EscapeXml(std::string_view raw) {
@@ -77,7 +79,8 @@ class XesReader {
       if (token->kind == XmlParser::TokenKind::kEnd) {
         if (!stack_.empty() && options_.strict) {
           return Status::ParseError("truncated XES document: <" +
-                                    stack_.back() + "> never closed");
+                                    std::string(stack_.back()) +
+                                    "> never closed");
         }
         break;
       }
@@ -151,13 +154,13 @@ class XesReader {
           return Status::ParseError(
               "concept:name attribute without a value");
         }
-        current_event_.name = std::string(token.Attribute("value"));
+        current_event_.name = token.Attribute("value");
       } else if (token.name == "date" && key == "time:timestamp") {
         if (options_.strict && !HasAttribute(token, "value")) {
           return Status::ParseError(
               "time:timestamp attribute without a value");
         }
-        current_event_.timestamp = std::string(token.Attribute("value"));
+        current_event_.timestamp = token.Attribute("value");
       }
     }
     stack_.push_back(token.name);
@@ -169,10 +172,10 @@ class XesReader {
       return CloseTop();
     }
     if (options_.strict) {
-      return Status::ParseError("mismatched end tag </" + token.name +
-                                "> (open element is <" +
-                                (stack_.empty() ? "none" : stack_.back()) +
-                                ">)");
+      return Status::ParseError(
+          "mismatched end tag </" + std::string(token.name) +
+          "> (open element is <" +
+          std::string(stack_.empty() ? "none" : stack_.back()) + ">)");
     }
     // Lenient: close up to the matching open element if one exists;
     // a stray end tag with no matching open is ignored.
@@ -204,7 +207,7 @@ class XesReader {
         }
         return Status::OK();  // Lenient: skip unnamed events.
       }
-      trace_events_.push_back(std::move(current_event_));
+      trace_events_.push_back(current_event_);
     } else if (in_trace() && stack_.size() == trace_depth_) {
       trace_depth_ = kNone;
       FinalizeTrace();
@@ -227,18 +230,18 @@ class XesReader {
                          return a.timestamp < b.timestamp;
                        });
     }
-    std::vector<std::string> names;
-    names.reserve(trace_events_.size());
+    Trace trace;
+    trace.reserve(trace_events_.size());
     for (const XesEvent& e : trace_events_) {
-      names.push_back(e.name);
+      trace.push_back(log_.InternEvent(e.name));
     }
-    log_.AddTraceByNames(names);
+    log_.AddTrace(std::move(trace));
     trace_events_.clear();
   }
 
   const XesReadOptions options_;
   EventLog log_;
-  std::vector<std::string> stack_;
+  std::vector<std::string_view> stack_;  // Element names, document views.
   bool saw_log_ = false;
   bool stopped_ = false;
   std::size_t trace_depth_ = kNone;
@@ -253,12 +256,10 @@ Result<EventLog> ReadXesLog(std::istream& input,
                             const XesReadOptions& options) {
   // Ambient recorder: ingestion signatures predate tracing (obs/trace.h).
   obs::ScopedSpan span(obs::AmbientTraceRecorder(), "log.read_xes", "log");
-  std::ostringstream buffer;
-  buffer << input.rdbuf();
-  if (input.bad()) {
+  std::string document;
+  if (!internal::ReadWholeStream(input, &document)) {
     return Status::ParseError("I/O failure while reading XES log");
   }
-  const std::string document = buffer.str();
   span.AddArg("bytes", static_cast<double>(document.size()));
   Result<EventLog> log = XesReader(options).Read(document);
   if (log.ok()) {

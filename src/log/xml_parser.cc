@@ -67,7 +67,7 @@ bool XmlParser::SkipMisc() {
   return false;
 }
 
-Result<std::string> XmlParser::ReadName() {
+Result<std::string_view> XmlParser::ReadName() {
   if (pos_ >= doc_.size() || !IsNameStart(doc_[pos_])) {
     return Error("expected a name");
   }
@@ -75,13 +75,17 @@ Result<std::string> XmlParser::ReadName() {
   while (pos_ < doc_.size() && IsNameChar(doc_[pos_])) {
     ++pos_;
   }
-  return std::string(doc_.substr(start, pos_ - start));
+  return doc_.substr(start, pos_ - start);
 }
 
-Result<std::string> XmlParser::DecodeEntities(std::string_view raw) const {
-  std::string out;
+Result<std::string_view> XmlParser::DecodeEntities(std::string_view raw) {
+  std::size_t i = raw.find('&');
+  if (i == std::string_view::npos) {
+    return raw;
+  }
+  std::string out(raw.substr(0, i));
   out.reserve(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
+  for (; i < raw.size(); ++i) {
     if (raw[i] != '&') {
       out += raw[i];
       continue;
@@ -120,15 +124,15 @@ Result<std::string> XmlParser::DecodeEntities(std::string_view raw) const {
     }
     i = semi;
   }
-  return out;
+  return std::string_view(decoded_.emplace_back(std::move(out)));
 }
 
 Result<XmlParser::Token> XmlParser::Next() {
   if (!pending_end_.empty()) {
     Token token;
     token.kind = TokenKind::kEndElement;
-    token.name = std::move(pending_end_);
-    pending_end_.clear();
+    token.name = pending_end_;
+    pending_end_ = {};
     return token;
   }
 
@@ -181,6 +185,7 @@ Result<XmlParser::Token> XmlParser::Next() {
   Token token;
   token.kind = TokenKind::kStartElement;
   HEMATCH_ASSIGN_OR_RETURN(token.name, ReadName());
+  attributes_.clear();
   for (;;) {
     SkipWhitespace();
     if (pos_ >= doc_.size()) {
@@ -188,6 +193,7 @@ Result<XmlParser::Token> XmlParser::Next() {
     }
     if (doc_[pos_] == '>') {
       ++pos_;
+      token.attributes = attributes_;
       return token;
     }
     if (doc_[pos_] == '/') {
@@ -196,10 +202,11 @@ Result<XmlParser::Token> XmlParser::Next() {
       }
       pos_ += 2;
       pending_end_ = token.name;  // Synthesize the matching end element.
+      token.attributes = attributes_;
       return token;
     }
     // Attribute.
-    HEMATCH_ASSIGN_OR_RETURN(std::string attr_name, ReadName());
+    HEMATCH_ASSIGN_OR_RETURN(std::string_view attr_name, ReadName());
     SkipWhitespace();
     if (pos_ >= doc_.size() || doc_[pos_] != '=') {
       return Error("expected '=' after attribute name");
@@ -218,10 +225,10 @@ Result<XmlParser::Token> XmlParser::Next() {
       return Error("unterminated attribute value");
     }
     HEMATCH_ASSIGN_OR_RETURN(
-        std::string value,
+        std::string_view value,
         DecodeEntities(doc_.substr(value_start, pos_ - value_start)));
     ++pos_;  // Closing quote.
-    token.attributes.emplace_back(std::move(attr_name), std::move(value));
+    attributes_.emplace_back(attr_name, value);
   }
 }
 

@@ -1,6 +1,8 @@
 #ifndef HEMATCH_LOG_XML_PARSER_H_
 #define HEMATCH_LOG_XML_PARSER_H_
 
+#include <deque>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -29,19 +31,27 @@ class XmlParser {
     kEnd,
   };
 
+  using Attr = std::pair<std::string_view, std::string_view>;
+
+  /// A token is a set of views; nothing in it is owned. Element names
+  /// and attribute keys are views into the document. Text and attribute
+  /// values are too, unless they held entity references: those are
+  /// decoded into storage the parser keeps until it is destroyed. The
+  /// `attributes` list itself is parser storage that the next call to
+  /// Next() reuses, so copy out what must outlive that call.
   struct Token {
     TokenKind kind = TokenKind::kEnd;
     /// Element name (start/end) or decoded text content.
-    std::string name;
+    std::string_view name;
     /// Attributes of a start element, in document order.
-    std::vector<std::pair<std::string, std::string>> attributes;
+    std::span<const Attr> attributes;
 
     /// First value of attribute `key`, or an empty string.
     std::string_view Attribute(std::string_view key) const;
   };
 
   /// Parses from an in-memory document; `document` must outlive the
-  /// parser.
+  /// parser and every token it returns.
   explicit XmlParser(std::string_view document);
 
   /// Returns the next token, or a ParseError with the byte offset.
@@ -54,13 +64,18 @@ class XmlParser {
   Status Error(const std::string& message) const;
   void SkipWhitespace();
   bool SkipMisc();  // Comments, processing instructions, declarations.
-  Result<std::string> ReadName();
-  Result<std::string> DecodeEntities(std::string_view raw) const;
+  Result<std::string_view> ReadName();
+  /// `raw` itself when it holds no entity, else its decoded copy.
+  Result<std::string_view> DecodeEntities(std::string_view raw);
 
   std::string_view doc_;
   std::size_t pos_ = 0;
   /// Pending synthesized end-element (from `<x/>`).
-  std::string pending_end_;
+  std::string_view pending_end_;
+  /// Attributes of the current start element, reused across calls.
+  std::vector<Attr> attributes_;
+  /// Entity-decoded text; a deque never moves what it already holds.
+  std::deque<std::string> decoded_;
 };
 
 }  // namespace hematch

@@ -88,6 +88,73 @@ TEST(CsvLogTest, WithoutTimestampKeepsFileOrder) {
   EXPECT_EQ(log->TraceToString(log->traces()[0]), "B A");
 }
 
+// Integer and text timestamps have no common order, so a case that
+// mixes them is rejected (strict) or kept in file order and counted
+// (lenient) — whatever order its rows come in.
+constexpr const char* kMixedRows[] = {"c,A,2\n", "c,B,10\n", "c,C,1a\n"};
+
+std::string MixedCsv(bool reversed) {
+  std::string text = "case,event,timestamp\nd,X,1\n";
+  for (int i = 0; i < 3; ++i) {
+    text += kMixedRows[reversed ? 2 - i : i];
+  }
+  return text + "d,Y,0\n";
+}
+
+TEST(CsvLogTest, StrictRejectsMixedTimestampKindsNamingTheCase) {
+  for (const bool reversed : {false, true}) {
+    std::istringstream in(MixedCsv(reversed));
+    CsvReadOptions strict;
+    strict.strict = true;
+    Result<EventLog> log = ReadCsvLog(in, strict);
+    ASSERT_FALSE(log.ok()) << "reversed=" << reversed;
+    EXPECT_EQ(log.status().code(), StatusCode::kParseError);
+    EXPECT_NE(log.status().message().find("'c'"), std::string::npos)
+        << log.status();
+  }
+}
+
+TEST(CsvLogTest, LenientKeepsMixedTimestampCaseInFileOrder) {
+  for (const bool reversed : {false, true}) {
+    std::istringstream in(MixedCsv(reversed));
+    CsvReadStats stats;
+    Result<EventLog> log = ReadCsvLog(in, {}, &stats);
+    ASSERT_TRUE(log.ok()) << log.status();
+    ASSERT_EQ(log->num_traces(), 2u);
+    EXPECT_EQ(log->TraceToString(log->traces()[0]), "Y X");  // Sorted.
+    EXPECT_EQ(log->TraceToString(log->traces()[1]),
+              reversed ? "C B A" : "A B C");
+    EXPECT_EQ(stats.salvaged_rows, 3u);
+  }
+}
+
+TEST(CsvLogTest, MixedCaseCountsARaggedRowOnce) {
+  std::istringstream in(
+      "case,event,timestamp\n"
+      "c,A,2\n"
+      "c,B\n"  // Ragged: kept without a timestamp, counted once.
+      "c,C,1a\n");
+  CsvReadStats stats;
+  Result<EventLog> log = ReadCsvLog(in, {}, &stats);
+  ASSERT_TRUE(log.ok()) << log.status();
+  EXPECT_EQ(log->TraceToString(log->traces()[0]), "A B C");
+  EXPECT_EQ(stats.salvaged_rows, 3u);
+}
+
+TEST(CsvLogTest, MissingTimestampsDoNotMakeACaseMixed) {
+  // An absent timestamp sorts first next to either kind.
+  std::istringstream in(
+      "case,event,timestamp\n"
+      "c,A,10\n"
+      "c,B,\n"
+      "c,C,9\n");
+  CsvReadOptions strict;
+  strict.strict = true;
+  Result<EventLog> log = ReadCsvLog(in, strict);
+  ASSERT_TRUE(log.ok()) << log.status();
+  EXPECT_EQ(log->TraceToString(log->traces()[0]), "B C A");
+}
+
 TEST(CsvLogTest, AcceptsHeaderAliases) {
   std::istringstream in(
       "trace_id,activity,ts\n"

@@ -3,6 +3,7 @@
 #include "log/xes_io.h"
 #include "log/xml_parser.h"
 
+#include <functional>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -12,18 +13,72 @@ namespace {
 
 // ------------------------- XmlParser ---------------------------------
 
-std::vector<XmlParser::Token> Drain(std::string_view doc) {
+// An owned copy of a token: token views end with the next call or the
+// parser, and Drain's parser is gone by the time tests look.
+struct OwnedToken {
+  XmlParser::TokenKind kind;
+  std::string name;
+  std::vector<std::pair<std::string, std::string>> attributes;
+
+  std::string_view Attribute(std::string_view key) const {
+    for (const auto& [k, v] : attributes) {
+      if (k == key) {
+        return v;
+      }
+    }
+    return std::string_view();
+  }
+};
+
+std::vector<OwnedToken> Drain(std::string_view doc) {
   XmlParser parser(doc);
-  std::vector<XmlParser::Token> tokens;
+  std::vector<OwnedToken> tokens;
   for (;;) {
     Result<XmlParser::Token> token = parser.Next();
     EXPECT_TRUE(token.ok()) << token.status();
     if (!token.ok() || token->kind == XmlParser::TokenKind::kEnd) {
       break;
     }
-    tokens.push_back(std::move(token).value());
+    OwnedToken& owned = tokens.emplace_back(
+        OwnedToken{token->kind, std::string(token->name), {}});
+    for (const auto& [k, v] : token->attributes) {
+      owned.attributes.emplace_back(k, v);
+    }
   }
   return tokens;
+}
+
+TEST(XmlParserTest, TokenViewsPointIntoTheDocumentUnlessDecoded) {
+  const std::string doc =
+      R"(<a k="plain" d="x&amp;y"><b v="&lt;"/>&#65;</a>)";
+  XmlParser parser(doc);
+  const auto inside = [&doc](std::string_view view) {
+    const std::less_equal<const char*> le;
+    return le(doc.data(), view.data()) &&
+           le(view.data() + view.size(), doc.data() + doc.size());
+  };
+  Result<XmlParser::Token> a = parser.Next();
+  ASSERT_TRUE(a.ok()) << a.status();
+  const std::string_view name = a->name;
+  const std::string_view plain = a->Attribute("k");
+  const std::string_view decoded = a->Attribute("d");
+  EXPECT_TRUE(inside(name));
+  EXPECT_TRUE(inside(a->attributes[0].first));
+  EXPECT_TRUE(inside(plain));
+  EXPECT_FALSE(inside(decoded));  // Parser-owned decoded copy.
+  // Names and values stay valid while the parser lives, however many
+  // tokens (and decoded values) follow; only the attribute list is
+  // reused.
+  for (;;) {
+    Result<XmlParser::Token> token = parser.Next();
+    ASSERT_TRUE(token.ok()) << token.status();
+    if (token->kind == XmlParser::TokenKind::kEnd) {
+      break;
+    }
+  }
+  EXPECT_EQ(name, "a");
+  EXPECT_EQ(plain, "plain");
+  EXPECT_EQ(decoded, "x&y");
 }
 
 TEST(XmlParserTest, ElementsAndAttributes) {
