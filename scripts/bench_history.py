@@ -11,7 +11,9 @@ baselines in ``bench/baselines/``.
 Headlines:
   freq.speedup        vectorized / legacy frequency engine  (higher better)
   search.speedup      Pattern-Tight / Baseline-Tight search (higher better)
-  serve.p99_ms        p99 latency under overload            (lower better)
+  serve.p99_ms        p99 latency under overload            (lower better;
+                      scripts/check.sh passes the median-p99
+                      run of three)
   noise.clean_pair_f  pair-F on the clean (rate=0) workload (higher better)
 
 The failing run is still appended to the history — a trajectory that

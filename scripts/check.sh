@@ -278,11 +278,16 @@ fi
 # must lose nothing — every request served or explicitly
 # overload-rejected, zero transport failures, p99 inside the
 # queue-envelope bound (docs/ROBUSTNESS.md, "Serving and overload").
+# Every one of three runs must pass; the bench-history gate then reads
+# the run with the median p99, because a single p99 under deliberate
+# overload swings 17-54 ms run to run on a shared 4-core machine.
 if [[ -x "$BUILD_DIR/bench/bench_serve" ]]; then
   echo "== serve overload"
-  HEMATCH_BENCH_METRICS_DIR="$tmp" "$BUILD_DIR/bench/bench_serve"
+  for run in 1 2 3; do
+    mkdir -p "$tmp/serve_$run"
+    HEMATCH_BENCH_METRICS_DIR="$tmp/serve_$run" "$BUILD_DIR/bench/bench_serve"
 
-  python3 - "$tmp/BENCH_serve.json" <<'EOF'
+    python3 - "$tmp/serve_$run/BENCH_serve.json" <<'EOF'
 import json
 import sys
 
@@ -299,6 +304,26 @@ assert sc["rejected_overload"] == doc["rejected_overload"], sc
 print(f"ok: {doc['served']}/{doc['workload']['requests']} served, "
       f"{doc['rejected_overload']} explicit rejections, "
       f"p99 {doc['p99_ms']:.1f} ms")
+EOF
+  done
+
+  python3 - "$tmp" <<'EOF'
+import json
+import os
+import shutil
+import sys
+
+tmp = sys.argv[1]
+runs = []
+for run in (1, 2, 3):
+    path = os.path.join(tmp, f"serve_{run}", "BENCH_serve.json")
+    with open(path) as f:
+        runs.append((json.load(f)["p99_ms"], path))
+runs.sort()
+p99, path = runs[len(runs) // 2]
+shutil.copy(path, os.path.join(tmp, "BENCH_serve.json"))
+print(f"ok: p99 {', '.join(f'{r[0]:.1f}' for r in runs)} ms over "
+      f"{len(runs)} runs; the history gate reads the median, {p99:.1f} ms")
 EOF
 fi
 

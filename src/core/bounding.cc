@@ -12,16 +12,15 @@ FrequencyCeilings ComputeCeilings(const DependencyGraph& g2,
   return ceilings;
 }
 
-double TightUpperBound(const Pattern& pattern, double f1,
+double TightUpperBound(std::size_t pattern_size, double omega, double f1,
                        const FrequencyCeilings& ceilings, double f2_cap) {
   if (f1 <= 0.0) {
     return 0.0;  // d(p) is 0 for any f2 under the zero-frequency convention.
   }
   double f_min = ceilings.max_vertex;  // Table 2 case 1: general pattern.
-  if (pattern.size() >= 2) {
+  if (pattern_size >= 2) {
     // Table 2 cases 2-4: any match contributes a consecutive pair inside
     // the target set per allowed order, so f2 <= w(p) * fe.
-    const double omega = static_cast<double>(pattern.NumLinearizations());
     f_min = std::min(f_min, omega * ceilings.max_edge);
   }
   f_min = std::min(f_min, f2_cap);

@@ -1,6 +1,7 @@
 #ifndef HEMATCH_CORE_BOUNDING_H_
 #define HEMATCH_CORE_BOUNDING_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -50,7 +51,9 @@ struct FrequencyCeilings {
 FrequencyCeilings ComputeCeilings(const DependencyGraph& g2,
                                   const std::vector<EventId>& targets);
 
-/// The tight upper bound of Algorithm 2 given precomputed ceilings:
+/// The tight upper bound of Algorithm 2 given precomputed ceilings, for
+/// a pattern of `pattern_size` events with `omega = w(p)` allowed orders
+/// (`Pattern::NumLinearizations()` as a double):
 ///
 ///   f_min = min(fn, w(p) * fe)   for patterns with >= 2 events
 ///   f_min = fn                    for vertex patterns (no edges involved)
@@ -67,9 +70,18 @@ FrequencyCeilings ComputeCeilings(const DependencyGraph& g2,
 /// `f2_cap` is an optional additional upper bound on the reachable
 /// target frequency (kBitmapTight's co-occurrence ceiling); pass
 /// +infinity to disable. `f_min` becomes `min(f_min, f2_cap)`.
-double TightUpperBound(const Pattern& pattern, double f1,
+double TightUpperBound(std::size_t pattern_size, double omega, double f1,
                        const FrequencyCeilings& ceilings,
                        double f2_cap = std::numeric_limits<double>::infinity());
+
+/// `TightUpperBound` reading the size and `w(p)` off `pattern`.
+inline double TightUpperBound(
+    const Pattern& pattern, double f1, const FrequencyCeilings& ceilings,
+    double f2_cap = std::numeric_limits<double>::infinity()) {
+  return TightUpperBound(pattern.size(),
+                         static_cast<double>(pattern.NumLinearizations()), f1,
+                         ceilings, f2_cap);
+}
 
 /// Full `Δ(p, U2)` (Problem 2): 0 when `|V(p)| > |targets|` (the pattern
 /// no longer fits), otherwise `TightUpperBound` over the ceilings of

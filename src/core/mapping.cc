@@ -106,12 +106,17 @@ std::vector<EventId> Mapping::NullSources() const {
 
 std::vector<EventId> Mapping::UnusedTargets() const {
   std::vector<EventId> out;
+  UnusedTargets(out);
+  return out;
+}
+
+void Mapping::UnusedTargets(std::vector<EventId>& out) const {
+  out.clear();
   for (EventId v = 0; v < backward_.size(); ++v) {
     if (backward_[v] == kInvalidEventId) {
       out.push_back(v);
     }
   }
-  return out;
 }
 
 std::optional<Pattern> Mapping::TranslatePattern(

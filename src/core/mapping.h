@@ -78,6 +78,8 @@ class Mapping {
   std::vector<EventId> UnmappedSources() const;
   /// Unused targets (`U2`), ascending.
   std::vector<EventId> UnusedTargets() const;
+  /// The same into `out` (cleared first), reusing its capacity.
+  void UnusedTargets(std::vector<EventId>& out) const;
   /// Sources explicitly mapped to ⊥, ascending.
   std::vector<EventId> NullSources() const;
 

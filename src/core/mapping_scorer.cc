@@ -17,6 +17,11 @@ MappingScorer::MappingScorer(MatchingContext& context,
   if (options_.bound == BoundKind::kBitmapTight) {
     cooc_ = &context.cooccurrence2();
   }
+  constants_.reserve(context.num_patterns());
+  for (const Pattern& p : context.patterns()) {
+    constants_.push_back(
+        {p.size(), static_cast<double>(p.NumLinearizations())});
+  }
 }
 
 std::size_t MappingScorer::MappedEventCount(std::size_t pid,
@@ -114,24 +119,37 @@ double MappingScorer::ComputeG(const Mapping& m) {
   return g - NullPenalty(m);
 }
 
-void MappingScorer::FillCoocCaps(const std::vector<EventId>& unused,
-                                 CoocCaps& caps) const {
-  caps.max_unused_pair = cooc_->MaxPairAmong(unused);
-  caps.best_with_unused.assign(context_->num_targets(), 0.0);
-  for (EventId t = 0; t < caps.best_with_unused.size(); ++t) {
+void MappingScorer::PrepareNode(const Mapping& m) {
+  m.UnusedTargets(unused_);
+  if (!BoundUsesCeilings(options_.bound)) {
+    return;
+  }
+  in_union_.assign(context_->num_targets(), 0);
+  for (EventId t : unused_) {
+    in_union_[t] = 1;
+  }
+  const DependencyGraph& g2 = context_->graph2();
+  u2_ceilings_.max_vertex = g2.MaxVertexFrequency(unused_);
+  u2_ceilings_.max_edge = g2.MaxInducedEdgeFrequency(unused_, in_union_);
+  if (cooc_ == nullptr) {
+    return;
+  }
+  max_unused_pair_ = cooc_->MaxPairAmong(unused_);
+  // IncompleteBound reads these only for the targets of mapped events.
+  best_with_unused_.resize(context_->num_targets());
+  for (EventId t = 0; t < m.num_targets(); ++t) {
+    if (!m.IsTargetUsed(t)) {
+      continue;
+    }
     double best = 0.0;
-    for (EventId u : unused) {
+    for (EventId u : unused_) {
       best = std::max(best, cooc_->At(t, u));
     }
-    caps.best_with_unused[t] = best;
+    best_with_unused_[t] = best;
   }
 }
 
-double MappingScorer::IncompleteBound(std::size_t pid, const Mapping& m,
-                                      const FrequencyCeilings& u2_ceilings,
-                                      std::size_t num_unused,
-                                      std::vector<char>& in_union,
-                                      const CoocCaps* caps) {
+double MappingScorer::IncompleteBound(std::size_t pid, const Mapping& m) {
   const Pattern& p = context_->patterns()[pid];
   const double f1 = context_->PatternFrequency1(pid);
   // A pattern with a ⊥ event contributes 0 to every completion; this is
@@ -145,15 +163,16 @@ double MappingScorer::IncompleteBound(std::size_t pid, const Mapping& m,
   }
 
   // Collect the targets already fixed for this pattern's mapped events.
-  std::vector<EventId> fixed;
+  const PatternConstants& pc = constants_[pid];
+  fixed_.clear();
   for (EventId v : p.events()) {
     const EventId t = m.TargetOf(v);
     if (t != kInvalidEventId) {
-      fixed.push_back(t);
+      fixed_.push_back(t);
     }
   }
   // Δ = 0 when the pattern no longer fits into M(V(p) \ U1) ∪ U2.
-  if (p.size() > num_unused + fixed.size()) {
+  if (pc.size > unused_.size() + fixed_.size()) {
     return 0.0;
   }
 
@@ -162,26 +181,30 @@ double MappingScorer::IncompleteBound(std::size_t pid, const Mapping& m,
   // other endpoint lies in the union (U2 ∪ fixed). This yields exactly the
   // induced-subgraph ceilings of Algorithm 2 for the set
   // M(V(p) \ U1) ∪ U2 in O(|p| * degree) instead of O(|U2| + E).
-  FrequencyCeilings ceilings = u2_ceilings;
+  FrequencyCeilings ceilings = u2_ceilings_;
   const DependencyGraph& g2 = context_->graph2();
-  for (EventId t : fixed) {
-    in_union[t] = 1;
+  for (EventId t : fixed_) {
+    in_union_[t] = 1;
   }
-  for (EventId t : fixed) {
+  for (EventId t : fixed_) {
     ceilings.max_vertex = std::max(ceilings.max_vertex, g2.VertexFrequency(t));
-    for (EventId w : g2.OutNeighbors(t)) {
-      if (in_union[w] != 0) {
-        ceilings.max_edge = std::max(ceilings.max_edge, g2.EdgeFrequency(t, w));
+    const std::vector<EventId>& out = g2.OutNeighbors(t);
+    const std::vector<double>& out_freq = g2.OutEdgeFrequencies(t);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (in_union_[out[i]] != 0) {
+        ceilings.max_edge = std::max(ceilings.max_edge, out_freq[i]);
       }
     }
-    for (EventId w : g2.InNeighbors(t)) {
-      if (in_union[w] != 0) {
-        ceilings.max_edge = std::max(ceilings.max_edge, g2.EdgeFrequency(w, t));
+    const std::vector<EventId>& in = g2.InNeighbors(t);
+    const std::vector<double>& in_freq = g2.InEdgeFrequencies(t);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      if (in_union_[in[i]] != 0) {
+        ceilings.max_edge = std::max(ceilings.max_edge, in_freq[i]);
       }
     }
   }
-  for (EventId t : fixed) {
-    in_union[t] = 0;  // Restore scratch state.
+  for (EventId t : fixed_) {
+    in_union_[t] = 0;  // Restore the mask to U2.
   }
 
   // kBitmapTight: cap the reachable f2 by pairwise trace co-occurrence.
@@ -191,114 +214,67 @@ double MappingScorer::IncompleteBound(std::size_t pid, const Mapping& m,
   // over the pair families below stays a true upper bound (Δ remains
   // admissible).
   double f2_cap = std::numeric_limits<double>::infinity();
-  if (caps != nullptr && p.size() >= 2) {
-    for (std::size_t i = 0; i < fixed.size(); ++i) {
-      for (std::size_t j = i + 1; j < fixed.size(); ++j) {
-        f2_cap = std::min(f2_cap, cooc_->At(fixed[i], fixed[j]));
+  if (cooc_ != nullptr && pc.size >= 2) {
+    for (std::size_t i = 0; i < fixed_.size(); ++i) {
+      for (std::size_t j = i + 1; j < fixed_.size(); ++j) {
+        f2_cap = std::min(f2_cap, cooc_->At(fixed_[i], fixed_[j]));
       }
     }
-    const std::size_t free_slots = p.size() - fixed.size();
-    if (free_slots >= 1 && !fixed.empty()) {
+    const std::size_t free_slots = pc.size - fixed_.size();
+    if (free_slots >= 1 && !fixed_.empty()) {
       // Each fixed target must co-occur with at least one unused target.
       double worst = std::numeric_limits<double>::infinity();
-      for (EventId t : fixed) {
-        worst = std::min(worst, caps->best_with_unused[t]);
+      for (EventId t : fixed_) {
+        worst = std::min(worst, best_with_unused_[t]);
       }
       f2_cap = std::min(f2_cap, worst);
     }
     if (free_slots >= 2) {
       // At least one pair lies entirely inside the unused targets.
-      f2_cap = std::min(f2_cap, caps->max_unused_pair);
+      f2_cap = std::min(f2_cap, max_unused_pair_);
     }
   }
-  return TightUpperBound(p, f1, ceilings, f2_cap);
+  return TightUpperBound(pc.size, pc.omega, f1, ceilings, f2_cap);
 }
 
 double MappingScorer::ComputeH(const Mapping& m) {
   h_evals_->Increment();
+  PrepareNode(m);
   double h = 0.0;
-  const std::vector<EventId> unused = m.UnusedTargets();
-  FrequencyCeilings u2_ceilings;
-  std::vector<char> in_union;
-  CoocCaps caps;
-  const bool use_cooc = options_.bound == BoundKind::kBitmapTight;
-  if (BoundUsesCeilings(options_.bound)) {
-    u2_ceilings = ComputeCeilings(context_->graph2(), unused);
-    in_union.assign(context_->num_targets(), 0);
-    for (EventId t : unused) {
-      in_union[t] = 1;
-    }
-    if (use_cooc) {
-      FillCoocCaps(unused, caps);
-    }
-  }
   for (std::size_t pid = 0; pid < context_->num_patterns(); ++pid) {
-    const Pattern& p = context_->patterns()[pid];
-    if (MappedEventCount(pid, m) == p.size()) {
+    if (MappedEventCount(pid, m) == constants_[pid].size) {
       continue;  // Contributes to g, not h.
     }
-    h += IncompleteBound(pid, m, u2_ceilings, unused.size(), in_union,
-                          use_cooc ? &caps : nullptr);
+    h += IncompleteBound(pid, m);
   }
-  return h - ForcedNullPenalty(m, unused.size());
+  return h - ForcedNullPenalty(m, unused_.size());
 }
 
 double MappingScorer::ComputeHForRemaining(
     const Mapping& m, const std::vector<std::uint32_t>& remaining) {
   h_evals_->Increment();
+  PrepareNode(m);
   double h = 0.0;
-  const std::vector<EventId> unused = m.UnusedTargets();
-  FrequencyCeilings u2_ceilings;
-  std::vector<char> in_union;
-  CoocCaps caps;
-  const bool use_cooc = options_.bound == BoundKind::kBitmapTight;
-  if (BoundUsesCeilings(options_.bound)) {
-    u2_ceilings = ComputeCeilings(context_->graph2(), unused);
-    in_union.assign(context_->num_targets(), 0);
-    for (EventId t : unused) {
-      in_union[t] = 1;
-    }
-    if (use_cooc) {
-      FillCoocCaps(unused, caps);
-    }
-  }
   for (std::uint32_t pid : remaining) {
-    h += IncompleteBound(pid, m, u2_ceilings, unused.size(), in_union,
-                          use_cooc ? &caps : nullptr);
+    h += IncompleteBound(pid, m);
   }
-  return h - ForcedNullPenalty(m, unused.size());
+  return h - ForcedNullPenalty(m, unused_.size());
 }
 
 MappingScorer::Score MappingScorer::ComputeScore(const Mapping& m) {
   g_evals_->Increment();
   h_evals_->Increment();
+  PrepareNode(m);
   Score score;
-  const std::vector<EventId> unused = m.UnusedTargets();
-  FrequencyCeilings u2_ceilings;
-  std::vector<char> in_union;
-  CoocCaps caps;
-  const bool use_cooc = options_.bound == BoundKind::kBitmapTight;
-  if (BoundUsesCeilings(options_.bound)) {
-    u2_ceilings = ComputeCeilings(context_->graph2(), unused);
-    in_union.assign(context_->num_targets(), 0);
-    for (EventId t : unused) {
-      in_union[t] = 1;
-    }
-    if (use_cooc) {
-      FillCoocCaps(unused, caps);
-    }
-  }
   for (std::size_t pid = 0; pid < context_->num_patterns(); ++pid) {
-    const Pattern& p = context_->patterns()[pid];
-    if (MappedEventCount(pid, m) == p.size()) {
+    if (MappedEventCount(pid, m) == constants_[pid].size) {
       score.g += CompletedContribution(pid, m);
     } else {
-      score.h += IncompleteBound(pid, m, u2_ceilings, unused.size(), in_union,
-                          use_cooc ? &caps : nullptr);
+      score.h += IncompleteBound(pid, m);
     }
   }
   score.g -= NullPenalty(m);
-  score.h -= ForcedNullPenalty(m, unused.size());
+  score.h -= ForcedNullPenalty(m, unused_.size());
   return score;
 }
 

@@ -52,9 +52,10 @@ struct ScorerOptions {
 ///
 /// `g(M) + h(M)` is an upper bound on the pattern normal distance of any
 /// completion of `M`; for a complete mapping `h = 0` and `g` is the exact
-/// objective. One scorer instance is shared across a matcher run (and may
-/// be shared across matchers) so that the context's frequency cache pays
-/// off.
+/// objective. One scorer instance serves a whole matcher run so that
+/// the context's frequency cache pays off. It owns the scratch buffers
+/// `h` is computed in, so an instance belongs to one thread: concurrent
+/// searches (the parallel A* workers) each build their own.
 class MappingScorer {
  public:
   MappingScorer(MatchingContext& context, const ScorerOptions& options);
@@ -111,29 +112,34 @@ class MappingScorer {
   std::uint64_t h_evaluations() const { return h_evals_->value(); }
 
  private:
-  // Per-h-evaluation co-occurrence ceilings (kBitmapTight only): the
-  // best pair among the unused targets, and for every target the best
-  // co-occurrence with any unused target. Computed once per node in
-  // O(num_targets * |U2|), consumed per pattern in O(|fixed|).
-  struct CoocCaps {
-    double max_unused_pair = 0.0;
-    std::vector<double> best_with_unused;
-  };
-  void FillCoocCaps(const std::vector<EventId>& unused, CoocCaps& caps) const;
+  // Fills the node-level state every incomplete pattern's Δ reads: the
+  // unused targets U2, a membership mask of U2 and, for bounds with
+  // ceilings, the ceilings of U2 and (kBitmapTight) the co-occurrence
+  // caps: the best pair among U2, and for every mapped target its best
+  // co-occurrence with any member of U2.
+  void PrepareNode(const Mapping& m);
 
-  // Δ for one incomplete pattern given the precomputed ceilings of U2 and
-  // a scratch membership bitmap of (U2 ∪ mapped targets of the pattern).
-  // `caps` is null unless the bound is kBitmapTight.
-  double IncompleteBound(std::size_t pid, const Mapping& m,
-                         const FrequencyCeilings& u2_ceilings,
-                         std::size_t num_unused, std::vector<char>& in_union,
-                         const CoocCaps* caps);
+  // Δ for one incomplete pattern from the state `PrepareNode(m)` left.
+  double IncompleteBound(std::size_t pid, const Mapping& m);
 
   MatchingContext* context_;
   ScorerOptions options_;
   // Pairwise co-occurrence ceilings, bound at construction when the
   // bound kind is kBitmapTight (pays the context's one-time build).
   const CooccurrenceIndex* cooc_ = nullptr;
+  // Per pattern: its event count and w(p) as a double, built once.
+  struct PatternConstants {
+    std::size_t size;
+    double omega;
+  };
+  std::vector<PatternConstants> constants_;
+  // Per-node scratch, reused across evaluations; see PrepareNode.
+  std::vector<EventId> unused_;
+  std::vector<char> in_union_;
+  FrequencyCeilings u2_ceilings_;
+  double max_unused_pair_ = 0.0;
+  std::vector<double> best_with_unused_;
+  std::vector<EventId> fixed_;  // Targets of one pattern's mapped events.
   obs::Counter* g_evals_;
   obs::Counter* h_evals_;
   obs::Counter* completed_contributions_;

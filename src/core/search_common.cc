@@ -163,12 +163,12 @@ TargetSymmetry ComputeTargetSymmetry(const EventLog& log2,
   std::vector<std::uint64_t> profile(n, 0);
   for (EventId e = 0; e < n; ++e) {
     std::uint64_t out = 0;
-    for (EventId z : graph2.OutNeighbors(e)) {
-      out += weight(graph2.EdgeFrequency(e, z));
+    for (double frequency : graph2.OutEdgeFrequencies(e)) {
+      out += weight(frequency);
     }
     std::uint64_t in = 0;
-    for (EventId z : graph2.InNeighbors(e)) {
-      in += weight(graph2.EdgeFrequency(z, e));
+    for (double frequency : graph2.InEdgeFrequencies(e)) {
+      in += weight(frequency);
     }
     profile[e] = weight(graph2.VertexFrequency(e)) ^
                  MixBits(out ^ 0x6F7574ull) ^ MixBits(in ^ 0x696Eull);

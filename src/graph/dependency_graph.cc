@@ -44,7 +44,9 @@ DependencyGraph DependencyGraph::FromSupports(
   const std::size_t n = vertex_support.size();
   g.vertex_freq_.assign(n, 0.0);
   g.out_.assign(n, {});
+  g.out_freq_.assign(n, {});
   g.in_.assign(n, {});
+  g.in_freq_.assign(n, {});
   if (num_traces == 0) {
     return g;
   }
@@ -52,25 +54,31 @@ DependencyGraph DependencyGraph::FromSupports(
   for (EventId v = 0; v < n; ++v) {
     g.vertex_freq_[v] = vertex_support[v] * inv;
   }
+  std::vector<std::pair<std::uint64_t, double>> edges;
+  edges.reserve(edge_support.size());
   for (const auto& [key, support] : edge_support) {
     if (support == 0) {
       continue;  // Zero-frequency pairs are not edges.
     }
+    HEMATCH_CHECK((key >> 32) < n && (key & 0xffffffffULL) < n,
+                  "edge support references unknown events");
+    edges.emplace_back(key, support * inv);
+  }
+  // Hash iteration order is nondeterministic; visiting the edges in
+  // (u, v) order keeps the output reproducible and leaves every
+  // adjacency list sorted.
+  std::sort(edges.begin(), edges.end());
+  g.edge_freq_.reserve(edges.size());
+  g.edge_list_.reserve(edges.size());
+  for (const auto& [key, frequency] : edges) {
+    g.edge_freq_.emplace(key, frequency);
     const EventId u = static_cast<EventId>(key >> 32);
     const EventId v = static_cast<EventId>(key & 0xffffffffULL);
-    HEMATCH_CHECK(u < n && v < n, "edge support references unknown events");
-    g.edge_freq_.emplace(key, support * inv);
     g.out_[u].push_back(v);
+    g.out_freq_[u].push_back(frequency);
     g.in_[v].push_back(u);
+    g.in_freq_[v].push_back(frequency);
     g.edge_list_.emplace_back(u, v);
-  }
-  // Hash iteration order is nondeterministic; sort for reproducible output.
-  std::sort(g.edge_list_.begin(), g.edge_list_.end());
-  for (auto& neighbors : g.out_) {
-    std::sort(neighbors.begin(), neighbors.end());
-  }
-  for (auto& neighbors : g.in_) {
-    std::sort(neighbors.begin(), neighbors.end());
   }
   return g;
 }
@@ -99,6 +107,20 @@ const std::vector<EventId>& DependencyGraph::InNeighbors(EventId u) const {
   return in_[u];
 }
 
+const std::vector<double>& DependencyGraph::OutEdgeFrequencies(
+    EventId u) const {
+  HEMATCH_CHECK(u < out_freq_.size(),
+                "DependencyGraph::OutEdgeFrequencies vertex out of range");
+  return out_freq_[u];
+}
+
+const std::vector<double>& DependencyGraph::InEdgeFrequencies(
+    EventId u) const {
+  HEMATCH_CHECK(u < in_freq_.size(),
+                "DependencyGraph::InEdgeFrequencies vertex out of range");
+  return in_freq_[u];
+}
+
 double DependencyGraph::MaxVertexFrequency(
     const std::vector<EventId>& vertices) const {
   double best = 0.0;
@@ -110,13 +132,27 @@ double DependencyGraph::MaxVertexFrequency(
 
 double DependencyGraph::MaxInducedEdgeFrequency(
     const std::vector<EventId>& vertices) const {
-  std::unordered_set<EventId> in_set(vertices.begin(), vertices.end());
+  std::vector<char> in_set(num_vertices(), 0);
+  for (EventId v : vertices) {
+    if (v < in_set.size()) {
+      in_set[v] = 1;
+    }
+  }
+  return MaxInducedEdgeFrequency(vertices, in_set);
+}
+
+double DependencyGraph::MaxInducedEdgeFrequency(
+    const std::vector<EventId>& vertices,
+    const std::vector<char>& in_set) const {
+  HEMATCH_DCHECK(in_set.size() >= num_vertices(), "mask too small");
   double best = 0.0;
   for (EventId u : vertices) {
     if (u >= out_.size()) continue;
-    for (EventId v : out_[u]) {
-      if (in_set.count(v) > 0) {
-        best = std::max(best, EdgeFrequency(u, v));
+    const std::vector<EventId>& neighbors = out_[u];
+    const std::vector<double>& frequencies = out_freq_[u];
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      if (in_set[neighbors[i]] != 0) {
+        best = std::max(best, frequencies[i]);
       }
     }
   }

@@ -53,6 +53,12 @@ class DependencyGraph {
   /// Predecessors of `u` (sources of positive-frequency edges).
   const std::vector<EventId>& InNeighbors(EventId u) const;
 
+  /// `EdgeFrequency(u, OutNeighbors(u)[i])` at index `i`.
+  const std::vector<double>& OutEdgeFrequencies(EventId u) const;
+
+  /// `EdgeFrequency(InNeighbors(u)[i], u)` at index `i`.
+  const std::vector<double>& InEdgeFrequencies(EventId u) const;
+
   /// All edges as (source, target) pairs.
   const std::vector<std::pair<EventId, EventId>>& edges() const {
     return edge_list_;
@@ -66,6 +72,12 @@ class DependencyGraph {
   /// Algorithm 2, where `vertices` is the unmapped-event set `U2`.
   double MaxInducedEdgeFrequency(const std::vector<EventId>& vertices) const;
 
+  /// The same with a caller-owned membership mask: `in_set[v] != 0`
+  /// exactly for the members of `vertices`, and `in_set` covers every
+  /// vertex. Allocates nothing.
+  double MaxInducedEdgeFrequency(const std::vector<EventId>& vertices,
+                                 const std::vector<char>& in_set) const;
+
  private:
   DependencyGraph() = default;
 
@@ -74,9 +86,15 @@ class DependencyGraph {
   }
 
   std::vector<double> vertex_freq_;
+  // Point lookups by pair key. A binary search of the sorted adjacency
+  // costs up to 5x a lookup here once out-degrees reach the tens.
   std::unordered_map<std::uint64_t, double> edge_freq_;
+  // Sorted adjacency; `out_freq_[u][i]` is the frequency of the edge
+  // `u -> out_[u][i]`, `in_freq_[v][i]` that of `in_[v][i] -> v`.
   std::vector<std::vector<EventId>> out_;
+  std::vector<std::vector<double>> out_freq_;
   std::vector<std::vector<EventId>> in_;
+  std::vector<std::vector<double>> in_freq_;
   std::vector<std::pair<EventId, EventId>> edge_list_;
 };
 

@@ -3,6 +3,10 @@
 
 #include "graph/dependency_graph.h"
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace hematch {
@@ -79,6 +83,73 @@ TEST(DependencyGraphTest, MaxInducedEdgeFrequencyRespectsSubset) {
   EXPECT_DOUBLE_EQ(g.MaxInducedEdgeFrequency({1, 2}), 0.25);
   // Singleton has no edges.
   EXPECT_DOUBLE_EQ(g.MaxInducedEdgeFrequency({0}), 0.0);
+}
+
+// The frequencies stored beside each adjacency list agree with
+// `EdgeFrequency`, pair by pair, and every other pair (non-edges and
+// out-of-range ids) reads 0.
+void ExpectAdjacencyFrequenciesAgree(const DependencyGraph& g) {
+  const EventId n = static_cast<EventId>(g.num_vertices());
+  std::size_t stored = 0;
+  for (EventId u = 0; u < n; ++u) {
+    const std::vector<EventId>& out = g.OutNeighbors(u);
+    ASSERT_EQ(g.OutEdgeFrequencies(u).size(), out.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_GT(g.OutEdgeFrequencies(u)[i], 0.0);
+      EXPECT_EQ(g.OutEdgeFrequencies(u)[i], g.EdgeFrequency(u, out[i]));
+    }
+    const std::vector<EventId>& in = g.InNeighbors(u);
+    ASSERT_EQ(g.InEdgeFrequencies(u).size(), in.size());
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      EXPECT_EQ(g.InEdgeFrequencies(u)[i], g.EdgeFrequency(in[i], u));
+    }
+    stored += out.size();
+    for (EventId v = 0; v < n; ++v) {
+      const bool edge = std::binary_search(out.begin(), out.end(), v);
+      EXPECT_EQ(g.EdgeFrequency(u, v) > 0.0, edge) << u << " -> " << v;
+    }
+    EXPECT_EQ(g.EdgeFrequency(u, n), 0.0);
+    EXPECT_EQ(g.EdgeFrequency(n, u), 0.0);
+  }
+  EXPECT_EQ(stored, g.num_edges());
+  EXPECT_EQ(g.EdgeFrequency(n, n), 0.0);
+  EXPECT_EQ(g.EdgeFrequency(n + 7, 0), 0.0);
+}
+
+TEST(DependencyGraphTest, StoredNeighborFrequenciesMatchEdgeFrequency) {
+  const DependencyGraph built = DependencyGraph::Build(ExampleLog());
+  ExpectAdjacencyFrequenciesAgree(built);
+  EXPECT_EQ(built.OutEdgeFrequencies(0), (std::vector<double>{0.5, 0.25}));
+
+  // 8 traces over 5 events; pair supports given directly, including a
+  // zero support that must not become an edge.
+  const std::vector<std::size_t> vertex_support = {8, 5, 4, 2, 0};
+  const std::unordered_map<std::uint64_t, std::size_t> edge_support = {
+      {(0ULL << 32) | 1, 5}, {(0ULL << 32) | 3, 1}, {(1ULL << 32) | 2, 3},
+      {(2ULL << 32) | 0, 2}, {(3ULL << 32) | 3, 2}, {(2ULL << 32) | 3, 0}};
+  const DependencyGraph from =
+      DependencyGraph::FromSupports(8, vertex_support, edge_support);
+  ExpectAdjacencyFrequenciesAgree(from);
+  EXPECT_EQ(from.num_edges(), 5u);
+  EXPECT_EQ(from.EdgeFrequency(0, 1), 5.0 / 8.0);
+  EXPECT_EQ(from.EdgeFrequency(3, 3), 2.0 / 8.0);
+  EXPECT_EQ(from.EdgeFrequency(2, 3), 0.0);
+  EXPECT_EQ(from.InNeighbors(3), (std::vector<EventId>{0, 3}));
+  EXPECT_EQ(from.InEdgeFrequencies(3), (std::vector<double>{0.125, 0.25}));
+}
+
+TEST(DependencyGraphTest, MaskedMaxInducedEdgeFrequencyMatchesSetForm) {
+  const DependencyGraph g = DependencyGraph::Build(ExampleLog());
+  const std::vector<std::vector<EventId>> subsets = {
+      {}, {0}, {0, 1}, {1, 2}, {0, 2}, {2, 0, 1}};
+  for (const std::vector<EventId>& subset : subsets) {
+    std::vector<char> mask(g.num_vertices(), 0);
+    for (EventId v : subset) {
+      mask[v] = 1;
+    }
+    EXPECT_EQ(g.MaxInducedEdgeFrequency(subset, mask),
+              g.MaxInducedEdgeFrequency(subset));
+  }
 }
 
 }  // namespace
